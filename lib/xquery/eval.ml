@@ -6,19 +6,27 @@
     "selection by regular path expression" cheap enough to recompute
     extents repeatedly during learning.
 
-    Two optional fast paths (on by default, switchable per context for
-    A/B measurement) accelerate the hot shapes of the Figure-16 suites:
+    Optional fast paths (on by default, switchable per context for A/B
+    measurement) accelerate the hot shapes of the Figure-16 suites:
 
     - [use_tag_index]: document-rooted child-tag chains are answered from
       the store's nodes-by-tag index instead of a full tree walk;
     - [use_hash_join]: an equality [where] clause whose build side is a
       path over a [for] variable with a closed binding sequence executes
       as a hash join — the build side is indexed once per (sequence, key)
-      pair and cached on the context, the probe side streams.
+      pair and cached on the context, the probe side streams.  The same
+      planner turns a [some] quantifier with such an equality in its
+      [satisfies] clause into a hash semi-join (the relay conditions of
+      the X1*+E class compile to exactly this shape): each outer tuple
+      probes the index, and the remaining conjuncts run only on the
+      candidates, in source order, until the first witness;
+    - [use_frozen] / [use_extent_cache]: DFA selections scan the store's
+      frozen arrays and are memoized per (DFA, base node).
 
-    FLWOR tuple streams are lazy ([Seq]-based), so [where] filters tuples
-    as they are produced instead of after a full cross-product
-    materialization, and quantifiers short-circuit. *)
+    FLWOR and quantifier tuple streams are lazy ([Seq]-based) and share
+    one expansion ([bind_tuples]), so [where] filters tuples as they are
+    produced instead of after a full cross-product materialization, and
+    quantifiers short-circuit. *)
 
 open Xl_xml
 
@@ -61,7 +69,8 @@ type ctx = {
   mutable use_extent_cache : bool;
       (** memoize DFA selections per (DFA, base node) across calls *)
   join_cache : (Ast.expr * Ast.expr, join_index) Hashtbl.t;
-  plan_cache : (Ast.flwor, join_plan option) Hashtbl.t;
+  plan_cache : (Ast.expr, join_plan option) Hashtbl.t;
+      (** [Flwor] or [Some_] expression -> its join plan *)
   frozen_syms : (int, int array * int) Hashtbl.t;
       (** {!Xl_xml.Frozen.t} uid -> (local symbol id -> alphabet id or -1,
           alphabet size at build) — rebuilt when the alphabet grows *)
@@ -81,6 +90,7 @@ type ctx = {
    walked — the per-query attribution behind the fast-path speedups *)
 let c_flwor_hash = Xl_obs.Obs.Counter.make "eval_flwor_hash_join"
 let c_flwor_nested = Xl_obs.Obs.Counter.make "eval_flwor_nested_loop"
+let c_some_semijoin = Xl_obs.Obs.Counter.make "eval_some_semijoin"
 let c_tag_index = Xl_obs.Obs.Counter.make "eval_tag_index_hits"
 let c_nodes_visited = Xl_obs.Obs.Counter.make "eval_nodes_visited"
 let c_frozen_selects = Xl_obs.Obs.Counter.make "eval_frozen_selects"
@@ -90,14 +100,22 @@ let c_extent_miss = Xl_obs.Obs.Counter.make "extent_cache_miss"
 
 let liveness = Xl_automata.Dfa.liveness
 
-let intern_doc_symbols alphabet doc =
-  List.iter
-    (fun n -> ignore (Xl_automata.Alphabet.intern alphabet (Node.symbol n)))
-    (Doc.all_nodes doc)
-
 let make_ctx ?(fast_paths = true) (store : Store.t) : ctx =
   let alphabet = Xl_automata.Alphabet.create () in
-  List.iter (intern_doc_symbols alphabet) (Store.docs store);
+  (* every symbol of every document, in preorder first-appearance order
+     across the documents in registration order — which is exactly each
+     snapshot's own symbol table, concatenated.  A snapshot's table also
+     holds the document node's "#doc", which no path ever reads: it is
+     left out so alphabet ids stay those of the element/attribute/text
+     symbols alone. *)
+  List.iter
+    (fun (fz : Frozen.t) ->
+      Array.iter
+        (fun s ->
+          if not (String.equal s "#doc") then
+            ignore (Xl_automata.Alphabet.intern alphabet s))
+        fz.Frozen.symbols)
+    (Store.frozen_docs store);
   (* constructed text nodes must already be interned when a path walks a
      constructed tree: interning mid-walk invalidates every cached DFA *)
   ignore (Xl_automata.Alphabet.intern alphabet "#text");
@@ -522,28 +540,30 @@ let rec pure_expr (e : Ast.expr) : bool =
   | Ast.Flwor _ | Ast.Elem _ | Ast.Attr_c _ | Ast.Text_c _ | Ast.Arith _ ->
     false
 
-(** Plan a hash join for [f], if its [where] clause supports one that is
+(** Plan a hash join for the [for]-style bindings [for_] filtered by
+    [where] — a FLWOR's [for] and [where] clauses, or a [some]
+    quantifier's bindings and [satisfies] clause — if one exists that is
     observationally equivalent to the nested-loop evaluation:
 
     - the join conjunct is an equality whose build side mentions exactly
-      one variable, bound by a [for] binding with a closed, pure source
+      one variable, bound by a binding with a closed, pure source
       sequence, and whose probe side only mentions variables available
-      before that binding expands (outer/free variables or earlier [for]
-      variables of this FLWOR);
-    - conjuncts left of the join conjunct, and the sources of [for]
-      bindings right of the build binding, are pure — they are the
-      evaluations the join may skip on pruned tuples. *)
-let plan_hash_join (f : Ast.flwor) : join_plan option =
-  match f.Ast.where with
+      before that binding expands (outer/free variables or earlier
+      bindings, never the [let_vars] bound after them);
+    - conjuncts left of the join conjunct, and the sources of bindings
+      right of the build binding, are pure — they are the evaluations
+      the join may skip on pruned tuples. *)
+let plan_hash_join ~(for_ : Ast.binding list) ~(let_vars : string list)
+    (where : Ast.expr option) : join_plan option =
+  match where with
   | None -> None
   | Some w ->
-    let for_vars = List.map fst f.Ast.for_ in
-    let let_vars = List.map fst f.Ast.let_ in
+    let for_vars = List.map fst for_ in
     let all_vars = for_vars @ let_vars in
     if List.length (List.sort_uniq String.compare all_vars) <> List.length all_vars
-    then None (* shadowing inside one FLWOR: stay on the naive path *)
+    then None (* shadowing inside one binder: stay on the naive path *)
     else
-      let bindings = Array.of_list f.Ast.for_ in
+      let bindings = Array.of_list for_ in
       let n = Array.length bindings in
       let binding_index v =
         let rec go i = if i >= n then None else if String.equal (fst bindings.(i)) v then Some i else go (i + 1) in
@@ -611,12 +631,21 @@ let plan_hash_join (f : Ast.flwor) : join_plan option =
       in
       scan [] conjs
 
-let flwor_plan (ctx : ctx) (f : Ast.flwor) : join_plan option =
-  match Hashtbl.find_opt ctx.plan_cache f with
+(* The join plan of a binder expression ([Flwor] or [Some_]), cached per
+   expression: the planner is a pure function of the syntax. *)
+let binder_plan (ctx : ctx) (binder : Ast.expr) : join_plan option =
+  match Hashtbl.find_opt ctx.plan_cache binder with
   | Some p -> p
   | None ->
-    let p = plan_hash_join f in
-    Hashtbl.replace ctx.plan_cache f p;
+    let p =
+      match binder with
+      | Ast.Flwor f ->
+        plan_hash_join ~for_:f.Ast.for_ ~let_vars:(List.map fst f.Ast.let_)
+          f.Ast.where
+      | Ast.Some_ (bs, body) -> plan_hash_join ~for_:bs ~let_vars:[] (Some body)
+      | _ -> None
+    in
+    Hashtbl.replace ctx.plan_cache binder p;
     p
 
 exception Type_error of string
@@ -717,28 +746,34 @@ and probe_join (ctx : ctx) (env : Env.t) (p : join_plan) : Env.t Seq.t =
   in
   Seq.map (fun i -> Env.bind env p.jp_var [ ji.items.(i) ]) (List.to_seq idxs)
 
+(** The lazy tuple stream of [bs] under [env], one binding at a time —
+    the expansion shared by FLWOR [for] clauses and the quantifiers.  The
+    planned build binding (if any) expands by probing its join index
+    instead of iterating its whole source. *)
+and bind_tuples ctx env (plan : join_plan option) (bs : Ast.binding list) :
+    Env.t Seq.t =
+  let expand (envs, i) (v, e) =
+    let envs =
+      match plan with
+      | Some p when p.jp_binding = i ->
+        Seq.concat_map (fun env -> probe_join ctx env p) envs
+      | _ ->
+        Seq.concat_map
+          (fun env ->
+            Seq.map (fun item -> Env.bind env v [ item ])
+              (List.to_seq (eval ctx env e)))
+          envs
+    in
+    (envs, i + 1)
+  in
+  fst (List.fold_left expand (Seq.return env, 0) bs)
+
 and eval_flwor ctx env (f : Ast.flwor) : Value.t =
-  let plan = if ctx.use_hash_join then flwor_plan ctx f else None in
+  let plan = if ctx.use_hash_join then binder_plan ctx (Ast.Flwor f) else None in
   (match plan with
   | Some _ -> Xl_obs.Obs.Counter.incr c_flwor_hash
   | None -> if f.Ast.where <> None then Xl_obs.Obs.Counter.incr c_flwor_nested);
-  (* expand for-bindings into a lazy tuple stream *)
-  let expand i (v, e) (envs : Env.t Seq.t) : Env.t Seq.t =
-    match plan with
-    | Some p when p.jp_binding = i ->
-      Seq.concat_map (fun env -> probe_join ctx env p) envs
-    | _ ->
-      Seq.concat_map
-        (fun env ->
-          Seq.map (fun item -> Env.bind env v [ item ])
-            (List.to_seq (eval ctx env e)))
-        envs
-  in
-  let tuples, _ =
-    List.fold_left
-      (fun (envs, i) b -> (expand i b envs, i + 1))
-      (Seq.return env, 0) f.Ast.for_
-  in
+  let tuples = bind_tuples ctx env plan f.Ast.for_ in
   let tuples =
     Seq.map
       (fun env ->
@@ -784,19 +819,25 @@ and eval_flwor ctx env (f : Ast.flwor) : Value.t =
 
 and eval_quant ctx env bs body ~exists : bool =
   (* lazy expansion: [some] stops at the first witness, [every] at the
-     first counterexample *)
-  let tuples =
-    List.fold_left
-      (fun envs (v, e) ->
-        Seq.concat_map
-          (fun env ->
-            Seq.map (fun item -> Env.bind env v [ item ])
-              (List.to_seq (eval ctx env e)))
-          envs)
-      (Seq.return env) bs
+     first counterexample.  An eligible [some] runs as a semi-join: only
+     the build items whose key meets the probe become tuples, and the
+     residual conjuncts decide among them in source order. *)
+  let plan =
+    if exists && ctx.use_hash_join then binder_plan ctx (Ast.Some_ (bs, body))
+    else None
   in
-  if exists then Seq.exists (fun env -> Value.to_bool (eval ctx env body)) tuples
-  else Seq.for_all (fun env -> Value.to_bool (eval ctx env body)) tuples
+  let test =
+    match plan with
+    | Some p ->
+      Xl_obs.Obs.Counter.incr c_some_semijoin;
+      p.jp_residual
+    | None -> Some body
+  in
+  let holds env =
+    match test with None -> true | Some t -> Value.to_bool (eval ctx env t)
+  in
+  let tuples = bind_tuples ctx env plan bs in
+  if exists then Seq.exists holds tuples else Seq.for_all holds tuples
 
 and general_compare op (va : Value.t) (vb : Value.t) : bool =
   match op with

@@ -6,12 +6,16 @@
     by regular path expression" cheap enough to recompute extents
     repeatedly during learning.
 
-    Two fast paths (on by default; see {!make_ctx}'s [?fast_paths] and
+    Three fast paths (on by default; see {!make_ctx}'s [?fast_paths] and
     the per-context switches) serve the hot shapes of the Figure-16
-    suites:
-    document-rooted child-tag chains answer from the store's nodes-by-tag
-    index, and eligible equality [where] clauses run as cached hash joins
-    instead of nested loops.  FLWOR tuple streams are lazy. *)
+    suites: document-rooted child-tag chains answer from the store's
+    nodes-by-tag index; eligible equality [where] clauses run as cached
+    hash joins instead of nested loops; and a [some] quantifier whose
+    [satisfies] clause holds such an equality runs as a hash semi-join —
+    each outer tuple probes the cached build-side index and the rest of
+    the clause runs only on the matching candidates, stopping at the
+    first witness.  FLWOR and quantifier tuple streams are lazy and
+    share one expansion. *)
 
 type compiled_path = {
   dfa : Xl_automata.Dfa.t;
@@ -26,15 +30,17 @@ type join_index = {
   built_at : int;  (** {!Xl_xml.Store.generation} at build time *)
 }
 
-(** A planned hash join for one FLWOR (see {!plan_hash_join} in the
-    implementation for the eligibility rules). *)
+(** A planned hash join for one FLWOR or [some] quantifier (see
+    [plan_hash_join] in the implementation for the eligibility rules). *)
 type join_plan = {
-  jp_binding : int;  (** index of the build binding in [for_] *)
+  jp_binding : int;  (** index of the build binding among the bindings *)
   jp_var : string;
   jp_source : Ast.expr;  (** closed source sequence of the build binding *)
   jp_key : Ast.expr;  (** build-side key, mentions only [jp_var] *)
   jp_probe : Ast.expr;  (** probe-side key, evaluable before the build *)
-  jp_residual : Ast.expr option;  (** rest of the [where] clause *)
+  jp_residual : Ast.expr option;
+      (** rest of the [where] / [satisfies] clause, conjuncts in source
+          order *)
 }
 
 type ctx = {
@@ -43,7 +49,8 @@ type ctx = {
   cache : (Path_expr.t, compiled_path) Hashtbl.t;
   mutable constructed : int;  (** constructed-element counter *)
   mutable use_hash_join : bool;
-      (** execute eligible equality [where] clauses as hash joins *)
+      (** execute eligible equality [where] clauses as hash joins and
+          eligible [some] quantifiers as hash semi-joins *)
   mutable use_tag_index : bool;
       (** answer doc-rooted tag chains from the nodes-by-tag index *)
   mutable use_frozen : bool;
@@ -54,7 +61,8 @@ type ctx = {
       (** memoize DFA selections per (DFA, base node id) across calls —
           the cross-round extent cache of the learning loop *)
   join_cache : (Ast.expr * Ast.expr, join_index) Hashtbl.t;
-  plan_cache : (Ast.flwor, join_plan option) Hashtbl.t;
+  plan_cache : (Ast.expr, join_plan option) Hashtbl.t;
+      (** [Flwor] or [Some_] expression -> its join plan *)
   frozen_syms : (int, int array * int) Hashtbl.t;
       (** {!Xl_xml.Frozen.t} uid -> (local symbol id -> alphabet id or
           -1, alphabet size at build); rebuilt when the alphabet grows *)
@@ -73,7 +81,10 @@ val liveness : Xl_automata.Dfa.t -> bool array
     Alias of {!Xl_automata.Dfa.liveness}. *)
 
 val make_ctx : ?fast_paths:bool -> Xl_xml.Store.t -> ctx
-(** Interns every symbol of every document in the store.  [fast_paths]
+(** Interns every symbol of every document in the store, read from the
+    store's frozen snapshots ({!Xl_xml.Store.frozen_docs}, which builds
+    the store's indexes if they are not yet built) in the order a
+    preorder walk of the documents would meet them.  [fast_paths]
     (default [true]) sets both per-context switches; the parity tests
     pass [false] to compare optimized and naive evaluation end to end.
     There is deliberately no global default: contexts with different

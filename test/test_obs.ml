@@ -410,6 +410,27 @@ let test_cache_counters_disabled_paths () =
             (has_sub (Printf.sprintf "{\"name\":\"%s\"" name) json))
         cache_counters)
 
+(* The evaluator's semi-join has its own counter, apart from the FLWOR
+   hash join's: XMark Q9's relay condition must be answered by it on a
+   fast-path context, and never on a naive one. *)
+let eval_xmark_q9 ~fast_paths =
+  let sc = List.assoc "Q9" (Xl_workload.Xmark_scenarios.all ()) in
+  let ctx = Xl_xquery.Eval.make_ctx ~fast_paths sc.Xl_core.Scenario.store in
+  ignore
+    (Xl_xquery.Eval.run ctx (Xl_xqtree.Xqtree.to_ast sc.Xl_core.Scenario.target))
+
+let test_semijoin_counter () =
+  with_obs (fun () ->
+      eval_xmark_q9 ~fast_paths:true;
+      Alcotest.(check bool)
+        "eval_some_semijoin > 0 on XMark Q9" true
+        (counter_value "eval_some_semijoin" > 0));
+  with_obs (fun () ->
+      eval_xmark_q9 ~fast_paths:false;
+      Alcotest.(check int)
+        "eval_some_semijoin stays 0 with fast_paths:false" 0
+        (counter_value "eval_some_semijoin"))
+
 (* ---------- clock -------------------------------------------------------- *)
 
 let test_monotonic_clock () =
@@ -714,6 +735,8 @@ let () =
             test_cache_counters_enabled;
           Alcotest.test_case "counters stay zero on a naive run" `Quick
             test_cache_counters_disabled_paths;
+          Alcotest.test_case "semi-join counter on XMark Q9" `Quick
+            test_semijoin_counter;
         ] );
       ( "reset", [ Alcotest.test_case "reset semantics" `Quick test_reset ] );
     ]

@@ -517,6 +517,214 @@ let test_pinned_fig16_counts () =
         (Xl_core.Stats.to_json r.Xl_core.Learn.stats))
     subjects
 
+(* ---------- quantified joins ---------------------------------------------- *)
+
+(* Relay conditions compile to [some $t in /doc/path satisfies ... = ...],
+   which the fast evaluator runs as a hash semi-join.  Neither the
+   benchmark query texts nor the generated fuzz targets contain a
+   quantifier, so the sweeps above never reach it: these suites do. *)
+
+(* Whether a context planned a semi-join for any [some] it evaluated. *)
+let planned_some (ctx : Eval.ctx) : bool =
+  Hashtbl.fold
+    (fun key plan acc ->
+      acc || (match (key, plan) with Ast.Some_ _, Some _ -> true | _ -> false))
+    ctx.Eval.plan_cache false
+
+(* Evaluate [ast] on [store] under both strategies; the fingerprint (or
+   the exception message), and whether the fast context planned a
+   semi-join. *)
+let run_both store ast =
+  let run ~fast_paths =
+    let ctx = Eval.make_ctx ~fast_paths store in
+    let r =
+      match Eval.run ctx ast with
+      | v -> "ok " ^ fingerprint store v
+      | exception e -> "raises " ^ Printexc.to_string e
+    in
+    (r, planned_some ctx)
+  in
+  let fast, planned = run ~fast_paths:true in
+  let naive, _ = run ~fast_paths:false in
+  (fast, naive, planned)
+
+(* Every Figure-16 target, and the query learned for it, on its 1x store;
+   the XMark ones also on a 2x streamed store. *)
+let test_fig16_quantified_parity () =
+  let scenarios = fig16_scenarios () in
+  let learned =
+    Xl_exec.Pool.map pool
+      (fun (suite, name, sc) ->
+        let r = Xl_core.Learn.run sc in
+        (suite, name, sc, Xl_xqtree.Xqtree.to_ast r.Xl_core.Learn.learned))
+      scenarios
+  in
+  let _, fz2 =
+    Xl_workload.Xmark_gen.generate_frozen (Xl_workload.Xmark_gen.scale_factor 2)
+  in
+  let store2 = Xml.Store.of_frozen [ fz2 ] in
+  Xml.Store.prepare store2;
+  let jobs =
+    List.concat_map
+      (fun (suite, name, (sc : Xl_core.Scenario.t), learned_ast) ->
+        let target_ast = Xl_xqtree.Xqtree.to_ast sc.Xl_core.Scenario.target in
+        let stores =
+          ("1x", sc.Xl_core.Scenario.store)
+          :: (if suite = "xmark" then [ ("2x", store2) ] else [])
+        in
+        List.concat_map
+          (fun (scale, store) ->
+            [
+              (Printf.sprintf "%s %s target %s" suite name scale, store, target_ast);
+              (Printf.sprintf "%s %s learned %s" suite name scale, store, learned_ast);
+            ])
+          stores)
+      learned
+  in
+  let outcomes =
+    Xl_exec.Pool.map pool
+      (fun (label, store, ast) ->
+        let fast, naive, planned = run_both store ast in
+        (label, fast, naive, planned))
+      jobs
+  in
+  List.iter
+    (fun (label, fast, naive, _) -> Alcotest.(check string) label naive fast)
+    outcomes;
+  (* the relay of XMark Q9 is the shape the semi-join exists for *)
+  List.iter
+    (fun (label, _, _, planned) ->
+      if String.starts_with ~prefix:"xmark Q9 target" label then
+        Alcotest.(check bool) (label ^ " planned a semi-join") true planned)
+    outcomes
+
+let quant_doc =
+  {|<r>
+  <a id="a1" k="01" n="1"><v>x</v><v>y</v></a>
+  <a id="a2" k="1"><v>z</v></a>
+  <a id="a3" k="NaN" n="3"><v>y</v></a>
+  <a id="a4" k="two" n="4"/>
+  <b ref="1" w="y"/>
+  <b ref="NaN" w="q"/>
+  <b ref="two" w="z"/>
+  <b ref="7"/>
+  <b w="x"/>
+</r>|}
+
+(* (label, query, whether the fast path must plan a semi-join) *)
+let quant_cases =
+  let per_b body = "for $b in /r/b return " ^ body in
+  [
+    ( "numeric/string promotion",
+      per_b "some $a in /r/a satisfies data($a/@k) = data($b/@ref)",
+      true );
+    ( "promotion against literals",
+      "(some $a in /r/a satisfies data($a/@k) = 1, \
+       some $a in /r/a satisfies data($a/@k) = \"1.0\", \
+       some $a in /r/a satisfies data($a/@k) = true(), \
+       some $a in /r/a satisfies data($a/@n) = \"01\")",
+      true );
+    ( "NaN keys meet nothing",
+      "(some $a in /r/a satisfies data($a/@k) = \"NaN\", \
+       some $a in /r/a satisfies data($a/@k) = data(/r/b[2]/@ref))",
+      true );
+    ( "keys with several values",
+      per_b "some $a in /r/a satisfies data($a/v) = data($b/@w)",
+      true );
+    ( "several probe values",
+      "some $a in /r/a satisfies data($a/@id) = data(/r/b/@ref)",
+      true );
+    ( "empty probe and empty build",
+      per_b
+        "(some $a in /r/a satisfies data($a/@k) = data($b/@missing), \
+         some $a in /r/none satisfies data($a/@k) = data($b/@ref))",
+      true );
+    ( "residual rejects every candidate",
+      per_b
+        "some $a in /r/a satisfies data($a/@k) = data($b/@ref) and \
+         data($a/@id) = \"zzz\"",
+      true );
+    ( "first witness in source order",
+      (* a2 also matches b1 but has no @n: evaluating it raises, so the
+         candidates must be tried in order and stop at a1 *)
+      per_b "some $a in /r/a satisfies data($a/@k) = data($b/@ref) and $a/@n + 0 = 1",
+      true );
+    ( "join on the second of two bindings",
+      per_b
+        "some $x in /r/b, $a in /r/a satisfies data($a/@k) = data($x/@ref) \
+         and $x is $b",
+      true );
+    ( "join on the first of two bindings",
+      per_b
+        "some $a in /r/a, $v in $a/v satisfies data($a/@k) = data($b/@ref) \
+         and data($v) = \"x\"",
+      true );
+    ( "impure conjunct before the join (not planned)",
+      per_b "some $a in /r/a satisfies $a/@n + 0 > 0 and data($a/@k) = data($b/@ref)",
+      false );
+    ( "correlated source (not planned)",
+      per_b "some $v in $b/@w satisfies data($v) = \"y\"",
+      false );
+    ( "is (not planned)", per_b "some $a in /r/b satisfies $a is $b", false );
+    ( "every (not planned)",
+      per_b "every $a in /r/a satisfies data($a/@k) = data($b/@ref)",
+      false );
+    ( "non-equality comparison (not planned)",
+      per_b "some $a in /r/a satisfies data($a/@k) > data($b/@ref)",
+      false );
+  ]
+
+let test_quantified_join_cases () =
+  let store =
+    Xml.Store.of_docs [ Xml.Xml_parser.parse_doc ~uri:"q.xml" quant_doc ]
+  in
+  List.iter
+    (fun (label, text, expect_planned) ->
+      let fast, naive, planned = run_both store (Parser.parse text) in
+      Alcotest.(check string) label naive fast;
+      Alcotest.(check bool) (label ^ ": planned") expect_planned planned)
+    quant_cases
+
+(* The alphabet a context interns from the store's snapshots must be the
+   one a preorder walk of the documents interns, id for id: learner
+   statistics depend on symbol ids. *)
+let walk_alphabet (store : Xml.Store.t) : string list =
+  let a = Xl_automata.Alphabet.create () in
+  List.iter
+    (fun d ->
+      List.iter
+        (fun n -> ignore (Xl_automata.Alphabet.intern a (Xml.Node.symbol n)))
+        (Xml.Doc.all_nodes d))
+    (Xml.Store.docs store);
+  ignore (Xl_automata.Alphabet.intern a "#text");
+  Xl_automata.Alphabet.symbols a
+
+let test_alphabet_matches_walk () =
+  let xmark_tree =
+    Xml.Store.of_docs
+      [ Xl_workload.Xmark_gen.generate Xl_workload.Xmark_gen.default_scale ]
+  in
+  let _, fz2 =
+    Xl_workload.Xmark_gen.generate_frozen (Xl_workload.Xmark_gen.scale_factor 2)
+  in
+  let stores =
+    [
+      ("xmp", Xl_workload.Xmp_data.store ());
+      ("xmark 1x tree", xmark_tree);
+      ("xmark 2x streamed", Xml.Store.of_frozen [ fz2 ]);
+    ]
+    @ List.init 25 (fun index ->
+          let case = Xl_fuzz.Case.generate ~seed:20040301 ~index in
+          (Printf.sprintf "fuzz case %d" index, Xl_fuzz.Case.store_of case))
+  in
+  List.iter
+    (fun (label, store) ->
+      Alcotest.(check (list string))
+        (label ^ " alphabet")
+        (walk_alphabet store)
+        (Xl_automata.Alphabet.symbols (Eval.make_ctx store).Eval.alphabet))
+    stores
+
 let () =
   Alcotest.run "perf-parity"
     [
@@ -531,6 +739,15 @@ let () =
             test_fuzz_corpus_engines;
           Alcotest.test_case "fig16 stores, select-engine parity" `Quick
             test_select_engine_parity;
+        ] );
+      ( "semi-joins",
+        [
+          Alcotest.test_case "hand-written edge cases, fast vs naive" `Quick
+            test_quantified_join_cases;
+          Alcotest.test_case "context alphabet equals the document walk"
+            `Quick test_alphabet_matches_walk;
+          Alcotest.test_case "fig16 targets + learned queries, 1x and 2x" `Slow
+            test_fig16_quantified_parity;
         ] );
       ( "streaming",
         [
