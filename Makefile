@@ -1,4 +1,4 @@
-.PHONY: build test bench bench-par bench-batch bench-check bench-gate bench-frozen bench-stream bench-machine bench-serve machine-test machine-demo serve obs-demo obs-report fuzz clean
+.PHONY: build test bench bench-par bench-check bench-gate bench-stream bench-machine bench-serve machine-test machine-demo serve obs-demo obs-report fuzz clean
 
 build:
 	dune build
@@ -15,20 +15,11 @@ bench:
 bench-par:
 	dune exec bench/main.exe -- fig16-xmark fig16-xmp
 
-# Batched membership oracle vs word-at-a-time: a micro of the shared
-# prefix-trie pass, then both Figure-16 suites end-to-end with batching
-# on and off.  Fails if the batched answers or the per-scenario
-# interaction rows differ from the word-at-a-time run — batching must
-# change who computes answers, never the answers.
-bench-batch:
-	dune build bench/main.exe
-	dune exec bench/main.exe -- batch
-
 # Produce the machine-readable perf baseline and fail if it can't be
-# written, if the hash-join fast path stops beating the nested loop, or
-# if the fig16 scenario rows differ between the sequential and parallel
-# runs (perf-json runs both and diffs them; no speedup ratio is
-# asserted — CI core counts vary).
+# written, if the engine's hash join stops beating the reference
+# evaluator's nested loop, or if the fig16 scenario rows differ between
+# the sequential and parallel runs (perf-json runs both and diffs them;
+# no speedup ratio is asserted — CI core counts vary).
 bench-check:
 	dune build bench/main.exe
 	dune exec bench/main.exe -- perf-json
@@ -51,14 +42,6 @@ bench-gate:
 	dune exec bench/main.exe -- serve
 	test -s BENCH_perf.json
 	dune exec bench/main.exe -- perf-gate; status=$$?; rm -f BENCH_baseline.json; exit $$status
-
-# Frozen-store selection micro on the domain pool: per-domain contexts
-# scanning one shared snapshot, checked against the pointer-walking
-# reference, at 1 and 4 workers.
-bench-frozen:
-	dune build bench/main.exe
-	dune exec bench/main.exe -- frozen -j 1
-	dune exec bench/main.exe -- frozen -j 4
 
 # Streaming ingestion ladder (DESIGN.md §5i): one-pass builder vs tree
 # walk + freeze at XMark 1x/10x/100x, XML parse throughput, snapshot

@@ -12,13 +12,9 @@
                                                  (writes BENCH_perf.json)
      dune exec bench/main.exe -- perf-gate    -- diff BENCH_perf.json against
                                                  BENCH_baseline.json (make bench-gate)
-     dune exec bench/main.exe -- frozen       -- frozen-store scan micro on the
-                                                 domain pool (make bench-frozen)
      dune exec bench/main.exe -- stream       -- streaming ingestion + snapshot
                                                  scale ladder, 10x fig16 variant
                                                  (make bench-stream)
-     dune exec bench/main.exe -- batch        -- batched vs per-word membership
-                                                 oracle (make bench-batch)
      dune exec bench/main.exe -- obs-report T -- offline analysis of a JSONL
                                                  trace T: span-tree self time,
                                                  worker utilization, critical
@@ -516,36 +512,18 @@ let perf_json () =
     stream_speedup parse_mb_s load_speedup;
   ignore (bench "store-nodes" (fun () -> ignore (Xl_xml.Store.nodes store)));
   ignore (bench "data-graph-build" (fun () -> ignore (Xl_core.Data_graph.build store)));
-  (* the deep-path workload under each selection engine (the AST is
-     pre-parsed, like q1's: these time evaluation, not the parser):
-     the default is the frozen scan memoized per (DFA, base) — the
-     steady state of the learning loop — then the same scan without
-     memoization, the legacy tag-index answer, and the pointer-walking
-     reference *)
+  (* the deep-path workload (the AST is pre-parsed, like q1's: these
+     time evaluation, not the parser) in the learning loop's steady
+     state: the frozen scan memoized per (DFA, base) *)
   let deep_ast = Xl_xquery.Parser.parse "/site/regions/europe/item/description" in
   ignore
     (bench "path-eval-deep" (fun () -> ignore (Xl_xquery.Eval.run ctx deep_ast)));
-  ctx.Xl_xquery.Eval.use_extent_cache <- false;
-  ignore
-    (bench "frozen-select" (fun () -> ignore (Xl_xquery.Eval.run ctx deep_ast)));
-  ctx.Xl_xquery.Eval.use_frozen <- false;
-  ignore
-    (bench "path-eval-tag-index" (fun () ->
-         ignore (Xl_xquery.Eval.run ctx deep_ast)));
-  ctx.Xl_xquery.Eval.use_tag_index <- false;
-  ignore
-    (bench "path-eval-pointer-walk" (fun () ->
-         ignore (Xl_xquery.Eval.run ctx deep_ast)));
-  ctx.Xl_xquery.Eval.use_tag_index <- true;
-  ctx.Xl_xquery.Eval.use_frozen <- true;
-  ctx.Xl_xquery.Eval.use_extent_cache <- true;
-  ctx.Xl_xquery.Eval.use_hash_join <- true;
+  (* the q1 join on the engine (hash join) against the reference
+     evaluator's nested loop over the pointer tree *)
   let hash_ns = bench "q1-eval-hash-join" (fun () -> ignore (Xl_xquery.Eval.run ctx q1_join)) in
-  ctx.Xl_xquery.Eval.use_hash_join <- false;
   let nested_ns =
-    bench "q1-eval-nested-loop" (fun () -> ignore (Xl_xquery.Eval.run ctx q1_join))
+    bench "q1-eval-nested-loop" (fun () -> ignore (Xl_fuzz.Reference.run store q1_join))
   in
-  ctx.Xl_xquery.Eval.use_hash_join <- true;
   let speedup = nested_ns /. hash_ns in
   Printf.printf "=> Q1 join: hash %.0f ns vs nested %.0f ns (%.1fx)\n%!" hash_ns
     nested_ns speedup;
@@ -795,91 +773,6 @@ let perf_json () =
     exit 1
   end
 
-(* ---------- frozen-store scan micro (make bench-frozen) ------------------ *)
-
-(* [frozen] exercises the frozen-snapshot selection engine under domain
-   fan-out: one store, frozen once by [Store.prepare], scanned
-   concurrently by every pool worker through per-domain evaluation
-   contexts (the snapshots are immutable and shared).  Each engine's
-   results are fingerprinted; a digest mismatch — across domains or
-   between the frozen scan and the pointer-walking reference — fails the
-   run.  Worker count: -j N as elsewhere. *)
-let frozen_bench () =
-  print_endline line;
-  print_endline "Frozen-store single-pass selection (shared snapshots across domains)";
-  print_endline line;
-  let scale =
-    {
-      Xl_workload.Xmark_gen.categories = 24;
-      items_per_region = 30;
-      people = 30;
-      open_auctions = 20;
-      closed_auctions = 25;
-    }
-  in
-  let doc = Xl_workload.Xmark_gen.generate scale in
-  let store = Xl_xml.Store.of_docs [ doc ] in
-  Xl_xml.Store.prepare store;
-  Xl_xml.Store.set_strict store true;
-  let paths =
-    [
-      "/site/regions/europe/item/description";
-      "/site/regions/(europe|africa)/item/incategory/@category";
-      "/site/categories/category/name";
-      "/site/people/person/@id";
-      "/site/open_auctions/open_auction/bidder";
-    ]
-  in
-  let p = pool () in
-  let jobs = Pool.domains p in
-  let tasks = max 2 (jobs * 2) in
-  let rounds = 100 in
-  let task engine _index =
-    (* per-task context: domain-confined mutable state over the shared
-       read-only store, per the pool's confinement contract *)
-    let ctx = Xl_xquery.Eval.make_ctx store in
-    (match engine with
-    | `Frozen ->
-      (* raw scan speed, not memoized replay *)
-      ctx.Xl_xquery.Eval.use_extent_cache <- false
-    | `Pointer_walk ->
-      ctx.Xl_xquery.Eval.use_extent_cache <- false;
-      ctx.Xl_xquery.Eval.use_frozen <- false;
-      ctx.Xl_xquery.Eval.use_tag_index <- false);
-    let asts = List.map Xl_xquery.Parser.parse paths in
-    let buf = Buffer.create 4096 in
-    for _ = 1 to rounds do
-      Buffer.clear buf;
-      List.iter
-        (fun ast -> Buffer.add_string buf (Xl_xquery.Eval.run_to_string ctx ast))
-        asts
-    done;
-    Digest.to_hex (Digest.string (Buffer.contents buf))
-  in
-  let time label engine =
-    let t0 = Unix.gettimeofday () in
-    let digests = Pool.map p (task engine) (List.init tasks Fun.id) in
-    let dt = Unix.gettimeofday () -. t0 in
-    let digest =
-      match digests with
-      | d :: rest when List.for_all (String.equal d) rest -> d
-      | _ ->
-        Printf.eprintf "FAIL: %s results differ across domains\n" label;
-        exit 1
-    in
-    Printf.printf "%-24s %3d jobs %10.1f ms  (%d tasks x %d rounds x %d paths)\n%!"
-      label jobs (dt *. 1e3) tasks rounds (List.length paths);
-    (dt, digest)
-  in
-  let fz_s, fz_digest = time "frozen-scan" `Frozen in
-  let pw_s, pw_digest = time "pointer-walk" `Pointer_walk in
-  if not (String.equal fz_digest pw_digest) then begin
-    Printf.eprintf "FAIL: frozen scan and pointer walk disagree\n";
-    exit 1
-  end;
-  Printf.printf "=> frozen scan %.2fx vs pointer walk at %d jobs, results identical\n\n%!"
-    (pw_s /. fz_s) jobs
-
 (* ---------- streaming ingestion bench (make bench-stream) ---------------- *)
 
 (* [stream] measures document ingestion at growing XMark scales — the
@@ -973,133 +866,6 @@ let stream_bench () =
     (List.length rows - List.length bad)
     (List.length rows) dt;
   if bad <> [] then exit 1
-
-(* ---------- batched-oracle micro + end-to-end (make bench-batch) --------- *)
-
-(* [batch] quantifies the batched membership oracle: first a micro
-   comparison — one DFA pass over a fill's shared prefix trie vs one
-   automaton walk per word, on an observation-table-shaped batch — then
-   the Figure-16 suites end-to-end with batching on and off.  Batching
-   changes who computes the answers, never the answers: the per-scenario
-   interaction rows of the two end-to-end runs must be identical
-   (exit 1 otherwise). *)
-let batch_bench () =
-  print_endline line;
-  print_endline "Batched membership oracle vs word-at-a-time (make bench-batch)";
-  print_endline line;
-  Obs.set_enabled false;
-  (* micro: S is every word over {0..3} up to length 4 (prefix-closed,
-     like L*'s row labels), E a small suffix set; the batch is S x E *)
-  let dfa =
-    Xl_automata.Regex.to_dfa ~alphabet_size:8
-      Xl_automata.Regex.(
-        seq [ Sym 0; Star (alt [ Sym 1; Sym 2; Sym 3 ]); Sym 4 ])
-  in
-  let s_rows =
-    let rec grow acc frontier k =
-      if k = 0 then acc
-      else
-        let next =
-          List.concat_map (fun w -> List.init 4 (fun s -> s :: w)) frontier
-        in
-        grow (acc @ next) next (k - 1)
-    in
-    List.map List.rev (grow [ [] ] [ [] ] 4)
-  in
-  let e_cols = [ []; [ 4 ]; [ 2; 4 ]; [ 5 ] ] in
-  let words =
-    List.concat_map (fun s -> List.map (fun e -> s @ e) e_cols) s_rows
-  in
-  if
-    List.map (Xl_automata.Dfa.accepts dfa) words
-    <> Xl_automata.Dfa.accepts_batch dfa words
-  then begin
-    Printf.eprintf "FAIL: batched answers differ from per-word answers\n";
-    exit 1
-  end;
-  let per_word_ns, _ =
-    time_ns (fun () -> ignore (List.map (Xl_automata.Dfa.accepts dfa) words))
-  in
-  let batched_ns, _ =
-    time_ns (fun () -> ignore (Xl_automata.Dfa.accepts_batch dfa words))
-  in
-  (* the structural win is prefix sharing: count the symbol steps a
-     per-word sweep walks vs the trie's distinct nodes.  On a raw
-     in-memory DFA the per-word walk is nearly free, so the trie pass
-     only pays off once a query carries real per-call overhead (memo
-     probes, decoding, trace accounting) — report that breakeven *)
-  let n_words = List.length words in
-  let n_steps = List.fold_left (fun acc w -> acc + List.length w) 0 words in
-  let n_shared =
-    let trie = Xl_automata.Trie.create () in
-    List.iter (fun w -> ignore (Xl_automata.Trie.add_word trie w)) words;
-    Xl_automata.Trie.size trie - 1
-  in
-  Printf.printf
-    "oracle micro: %d-word fill, %d symbol steps per-word vs %d shared (%.1fx fewer)\n\
-    \              raw DFA walk %.0f ns, trie pass %.0f ns -> batching pays once a query costs > %.0f ns of overhead\n%!"
-    n_words n_steps n_shared
-    (float_of_int n_steps /. float_of_int n_shared)
-    per_word_ns batched_ns
-    ((batched_ns -. per_word_ns) /. float_of_int n_words);
-  (* end-to-end: both fig16 suites, batching toggled by Learn.config *)
-  let scenarios =
-    prepare_scenarios (Xl_workload.Xmark_scenarios.all ())
-    @ prepare_scenarios (Xl_workload.Xmp_scenarios.all ())
-  in
-  let span_ns name =
-    match
-      List.find_opt
-        (fun (t : Obs.span_total) -> String.equal t.Obs.st_name name)
-        (Obs.span_totals ())
-    with
-    | Some t -> t.Obs.st_total_ns
-    | None -> 0
-  in
-  let run_mode ~batch =
-    Obs.reset ();
-    Obs.set_enabled true;
-    let config = { Xl_core.Learn.default_config with batch } in
-    let t0 = Unix.gettimeofday () in
-    let rows =
-      List.map
-        (fun (name, sc) ->
-          match Xl_core.Learn.run ~config sc with
-          | r -> (name, Xl_core.Stats.to_json r.Xl_core.Learn.stats)
-          | exception e -> (name, Printexc.to_string e))
-        scenarios
-    in
-    let wall = Unix.gettimeofday () -. t0 in
-    let lstar_ns = span_ns "lstar.learn" in
-    let oracle_batch_ns = span_ns "oracle.batch" in
-    let mq_batched =
-      match Obs.Counter.find "mq_batched" with
-      | Some c -> Obs.Counter.value c
-      | None -> 0
-    in
-    Obs.set_enabled false;
-    (rows, wall, lstar_ns, oracle_batch_ns, mq_batched)
-  in
-  let rows_b, wall_b, lstar_b, obatch_b, mq_b = run_mode ~batch:true in
-  let rows_w, wall_w, lstar_w, _, _ = run_mode ~batch:false in
-  Printf.printf
-    "fig16 end-to-end  batched : wall %.2f s, lstar.learn %.1f ms, oracle.batch %.1f ms, %d membership queries batch-answered\n%!"
-    wall_b
-    (float_of_int lstar_b /. 1e6)
-    (float_of_int obatch_b /. 1e6)
-    mq_b;
-  Printf.printf "fig16 end-to-end  per-word: wall %.2f s, lstar.learn %.1f ms\n%!"
-    wall_w
-    (float_of_int lstar_w /. 1e6);
-  if rows_b <> rows_w then begin
-    Printf.eprintf
-      "FAIL: interaction rows differ between batched and per-word runs\n";
-    exit 1
-  end;
-  Printf.printf
-    "=> lstar.learn %.2fx, suite wall %.2fx; interaction rows identical with batching on and off\n\n"
-    (float_of_int lstar_w /. float_of_int (max 1 lstar_b))
-    (wall_w /. wall_b)
 
 (* ---------- resumable machine smoke (bench machine) ---------------------- *)
 
@@ -1854,9 +1620,7 @@ let () =
     | "perf" -> perf ()
     | "perf-json" -> perf_json ()
     | "perf-gate" -> perf_gate ()
-    | "frozen" -> frozen_bench ()
     | "stream" -> stream_bench ()
-    | "batch" -> batch_bench ()
     | "machine" -> machine_bench ()
     | "serve" -> serve_bench ()
     | "fuzz" -> fuzz ()
@@ -1870,7 +1634,7 @@ let () =
       perf ()
     | other ->
       Printf.eprintf
-        "unknown benchmark %S (expected fig15 | fig16-xmark | fig16-xmp | ablation | reuse | perf | perf-json | perf-gate | frozen | stream | batch | machine | serve | fuzz | obs-report TRACE | all)\n"
+        "unknown benchmark %S (expected fig15 | fig16-xmark | fig16-xmp | ablation | reuse | perf | perf-json | perf-gate | stream | machine | serve | fuzz | obs-report TRACE | all)\n"
         other;
       exit 2
   in

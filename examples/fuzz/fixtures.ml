@@ -21,7 +21,7 @@ type t = {
 
 (* Seed 20040301: a nested box re-selecting its own context node.  The
    relative hypothesis is the empty path, whose language is {ε} — both
-   Extent.select_by_dfa and Eval.eval_path used to drop the origin
+   DFA selection (Eval.select_dfa) and Eval.eval_path used to drop the origin
    node, so the hypothesis extent stayed empty and the teacher repeated
    the same counterexample forever; rebuild additionally kept the
    target's absolute source for the relatively-anchored task. *)

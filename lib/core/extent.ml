@@ -10,24 +10,11 @@
     Conditions may reference several variables bound per candidate node
     (a collapse pair binds both the child's variable and the parent's,
     the parent being an ancestor of the candidate), so filtering takes a
-    [bind] function from candidate node to variable bindings. *)
+    [bind] function from candidate node to variable bindings.  The path
+    part is {!Xl_xquery.Eval.select_dfa}; this module adds the condition
+    filter and relative paths. *)
 
 open Xl_xml
-
-(** Nodes under [base] whose relative tag path is accepted by [dfa]
-    (compiled over [ctx]'s alphabet), document order.
-
-    Delegates to the evaluator's selection engine ({!Xl_xquery.Eval.select_dfa}):
-    the frozen single-pass scan with the per-(DFA, base) extent cache
-    when the context's fast paths are on, the pointer-walking reference
-    implementation otherwise.  Both handle the ε-accepting start — the
-    empty relative path denotes the base itself, and a relative task
-    whose extent contains its own anchor learns an ε-accepting DFA —
-    and both emit in document order (a DFS that appends attributes
-    before children needs no sort). *)
-let select_by_dfa (ctx : Xl_xquery.Eval.ctx) (dfa : Xl_automata.Dfa.t)
-    (base : Node.t) : Node.t list =
-  Xl_xquery.Eval.select_dfa ctx dfa base
 
 (** Relative tag path of [n] with respect to [base] (the symbols below
     [base]); [None] when [n] is not in [base]'s subtree. *)

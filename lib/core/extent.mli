@@ -5,14 +5,9 @@
     conditions with the context variables pinned to their drops.
     Conditions may reference several variables bound per candidate (a
     collapse pair binds both halves), so filtering takes a per-candidate
-    [bind] function. *)
+    [bind] function.  The path part is {!Xl_xquery.Eval.select_dfa}. *)
 
 open Xl_xml
-
-val select_by_dfa :
-  Xl_xquery.Eval.ctx -> Xl_automata.Dfa.t -> Node.t -> Node.t list
-(** Nodes under the base whose relative tag path the DFA accepts,
-    document order, with dead-state pruning. *)
 
 val rel_path : base:Node.t -> Node.t -> string list option
 (** Tag path below [base]; [None] outside its subtree. *)

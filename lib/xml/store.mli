@@ -4,8 +4,8 @@
     learner a single node universe spanning several documents (the XMP
     scenarios join [bib.xml] with [reviews.xml] and [prices.xml]).
 
-    Carries persistent indexes — flattened node universe, id->node,
-    nodes-by-tag and the v-equality value index — built lazily once per
+    Carries persistent indexes — flattened node universe, id->node, the
+    v-equality value index and the frozen snapshots — built lazily once per
     registration epoch and dropped whenever a document is added. *)
 
 type t
@@ -57,11 +57,6 @@ val prepare : t -> unit
     still confined to one domain.  Idempotent; a later [add] re-imposes
     the obligation. *)
 
-val index_built : t -> bool
-(** Are the indexes of the current registration epoch materialized?
-    [true] after {!prepare} (or any index demand) until the next
-    {!add}. *)
-
 val set_strict : t -> bool -> unit
 (** In strict mode, demanding an index that is not built raises
     [Failure] instead of silently building it on the spot — the lazy
@@ -69,10 +64,6 @@ val set_strict : t -> bool -> unit
     and hides a forgotten re-{!prepare} after an {!add}.  {!prepare}
     itself still builds.  Off by default; switch it on right after
     preparing a store that a pool fan-out will share. *)
-
-val nodes_with_tag : t -> string -> Node.t list
-(** Nodes whose {!Node.symbol} is the argument, document order: elements
-    by tag, attributes by ["@name"]. *)
 
 val with_value : t -> string -> Node.t list
 (** Value-bearing nodes with the given direct value — the v-equality

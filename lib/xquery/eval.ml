@@ -6,22 +6,27 @@
     "selection by regular path expression" cheap enough to recompute
     extents repeatedly during learning.
 
-    Optional fast paths (on by default, switchable per context for A/B
-    measurement) accelerate the hot shapes of the Figure-16 suites:
+    There is one engine, and the input picks each route:
 
-    - [use_tag_index]: document-rooted child-tag chains are answered from
-      the store's nodes-by-tag index instead of a full tree walk;
-    - [use_hash_join]: an equality [where] clause whose build side is a
-      path over a [for] variable with a closed binding sequence executes
-      as a hash join — the build side is indexed once per (sequence, key)
-      pair and cached on the context, the probe side streams.  The same
-      planner turns a [some] quantifier with such an equality in its
-      [satisfies] clause into a hash semi-join (the relay conditions of
-      the X1*+E class compile to exactly this shape): each outer tuple
-      probes the index, and the remaining conjuncts run only on the
-      candidates, in source order, until the first witness;
-    - [use_frozen] / [use_extent_cache]: DFA selections scan the store's
-      frozen arrays and are memoized per (DFA, base node).
+    - a DFA selection from a store-resident base scans the store's frozen
+      arrays; from a constructed node (no frozen snapshot) it walks the
+      pointer tree.  Either way it is memoized per (DFA, base node) until
+      the store changes;
+    - an equality [where] clause whose build side is a path over a [for]
+      variable with a closed binding sequence executes as a hash join —
+      the build side is indexed once per (sequence, key) pair and cached
+      on the context, the probe side streams.  The same planner turns a
+      [some] quantifier with such an equality in its [satisfies] clause
+      into a hash semi-join (the relay conditions of the X1*+E class
+      compile to exactly this shape): each outer tuple probes the index,
+      and the remaining conjuncts run only on the candidates, in source
+      order, until the first witness.  FLWORs and quantifiers without a
+      join plan, and every [every], run as nested loops.
+
+    The operators (comparison, arithmetic, [order by] keys, element
+    construction) are {!Operators}, shared with the naive specification
+    these routes must agree with, the differential tests'
+    [Xl_fuzz.Reference].
 
     FLWOR and quantifier tuple streams are lazy ([Seq]-based) and share
     one expansion ([bind_tuples]), so [where] filters tuples as they are
@@ -60,14 +65,6 @@ type ctx = {
   store : Store.t;
   alphabet : Xl_automata.Alphabet.t;
   cache : (Path_expr.t, compiled_path) Hashtbl.t;
-  mutable constructed : int;  (** count of constructed elements (stats) *)
-  mutable use_hash_join : bool;
-  mutable use_tag_index : bool;
-  mutable use_frozen : bool;
-      (** answer DFA selections by a linear scan over the store's frozen
-          array snapshots instead of the pointer-walking reference path *)
-  mutable use_extent_cache : bool;
-      (** memoize DFA selections per (DFA, base node) across calls *)
   join_cache : (Ast.expr * Ast.expr, join_index) Hashtbl.t;
   plan_cache : (Ast.expr, join_plan option) Hashtbl.t;
       (** [Flwor] or [Some_] expression -> its join plan *)
@@ -87,20 +84,17 @@ type ctx = {
 }
 
 (* telemetry: which evaluator branch answered, and how much tree was
-   walked — the per-query attribution behind the fast-path speedups *)
+   walked — the per-query attribution of each route *)
 let c_flwor_hash = Xl_obs.Obs.Counter.make "eval_flwor_hash_join"
 let c_flwor_nested = Xl_obs.Obs.Counter.make "eval_flwor_nested_loop"
 let c_some_semijoin = Xl_obs.Obs.Counter.make "eval_some_semijoin"
-let c_tag_index = Xl_obs.Obs.Counter.make "eval_tag_index_hits"
 let c_nodes_visited = Xl_obs.Obs.Counter.make "eval_nodes_visited"
 let c_frozen_selects = Xl_obs.Obs.Counter.make "eval_frozen_selects"
 let c_frozen_scanned = Xl_obs.Obs.Counter.make "eval_frozen_nodes_scanned"
 let c_extent_hit = Xl_obs.Obs.Counter.make "extent_cache_hit"
 let c_extent_miss = Xl_obs.Obs.Counter.make "extent_cache_miss"
 
-let liveness = Xl_automata.Dfa.liveness
-
-let make_ctx ?(fast_paths = true) (store : Store.t) : ctx =
+let make_ctx (store : Store.t) : ctx =
   let alphabet = Xl_automata.Alphabet.create () in
   (* every symbol of every document, in preorder first-appearance order
      across the documents in registration order — which is exactly each
@@ -123,11 +117,6 @@ let make_ctx ?(fast_paths = true) (store : Store.t) : ctx =
     store;
     alphabet;
     cache = Hashtbl.create 32;
-    constructed = 0;
-    use_hash_join = fast_paths;
-    use_tag_index = fast_paths;
-    use_frozen = fast_paths;
-    use_extent_cache = fast_paths;
     join_cache = Hashtbl.create 16;
     plan_cache = Hashtbl.create 16;
     frozen_syms = Hashtbl.create 4;
@@ -137,7 +126,7 @@ let make_ctx ?(fast_paths = true) (store : Store.t) : ctx =
     frozen_scratch = [||];
   }
 
-let ctx_of_doc ?fast_paths doc = make_ctx ?fast_paths (Store.of_docs [ doc ])
+let ctx_of_doc doc = make_ctx (Store.of_docs [ doc ])
 
 (* intern every tag literal of the path so Any_elem expansion and
    compilation agree on the alphabet *)
@@ -163,25 +152,9 @@ let compile_path (ctx : ctx) (p : Path_expr.t) : compiled_path =
     let dfa =
       Xl_automata.Regex.to_dfa ~alphabet_size:(Xl_automata.Alphabet.size ctx.alphabet) regex
     in
-    let c = { dfa; live = liveness dfa } in
+    let c = { dfa; live = Xl_automata.Dfa.liveness dfa } in
     Hashtbl.replace ctx.cache p c;
     c
-
-(** The symbol word of a pure child-tag chain (e.g. [/site/people/person]
-    or [.../@id]), if the path is one — the shape the nodes-by-tag index
-    can answer directly. *)
-let tag_chain (p : Path_expr.t) : string list option =
-  let rec go acc p =
-    match p with
-    | Path_expr.Step (Path_expr.Child, test) -> (
-      match Path_expr.test_symbol test with
-      | Some s -> Some (s :: acc)
-      | None -> None)
-    | Path_expr.Seq (a, b) -> (
-      match go acc b with Some acc -> go acc a | None -> None)
-    | _ -> None
-  in
-  go [] p
 
 (* ---------- DFA selection engine ---------------------------------------- *)
 
@@ -196,8 +169,8 @@ let live_of (ctx : ctx) (dfa : Xl_automata.Dfa.t) : bool array =
     Hashtbl.replace ctx.live_cache dfa l;
     l
 
-(* Reference implementation: the pointer walk with dead-state pruning.
-   A DFS taking attributes before element/text children — the order
+(* Constructed (non-store) nodes: the pointer walk with dead-state
+   pruning.  A DFS taking attributes before element/text children — the order
    [Doc.of_frag] numbered them in — emits document order directly, so
    the accumulator only needs reversing, never sorting. *)
 let tree_select (ctx : ctx) (dfa : Xl_automata.Dfa.t) (live : bool array)
@@ -260,11 +233,11 @@ let frozen_sym_map (ctx : ctx) (fz : Frozen.t) : int array =
     Hashtbl.replace ctx.frozen_syms fz.Frozen.uid (map, asize);
     map
 
-(* Frozen fast path: one linear scan of the document-order arrays over
+(* Store-resident nodes: one linear scan of the document-order arrays over
    [base]'s subtree range, tracking the DFA state per position.  A
    position whose symbol the DFA cannot read, or whose state is not
    live, skips its whole subtree in O(1) via [subtree_end] — the array
-   form of the reference walk's pruning.  Because positions are document
+   form of the pointer walk's pruning.  Because positions are document
    order, results need no sorting.  Every position examined except the
    base has its parent's state already assigned: a position is only
    reached either as parent+1 or by skipping a preceding sibling
@@ -313,15 +286,6 @@ let frozen_select (ctx : ctx) (fz : Frozen.t) ~(base_pos : int)
   Xl_obs.Obs.Counter.add c_frozen_scanned !scanned;
   List.rev !out
 
-let raw_select (ctx : ctx) (dfa : Xl_automata.Dfa.t) (live : bool array)
-    (base : Node.t) : Node.t list =
-  let frozen =
-    if ctx.use_frozen then Store.frozen_of_node ctx.store base else None
-  in
-  match frozen with
-  | Some (fz, pos) -> frozen_select ctx fz ~base_pos:pos dfa live
-  | None -> tree_select ctx dfa live base
-
 let check_extent_gen (ctx : ctx) =
   let g = Store.generation ctx.store in
   if g <> ctx.extent_cache_gen then begin
@@ -330,27 +294,30 @@ let check_extent_gen (ctx : ctx) =
     ctx.extent_cache_gen <- g
   end
 
-(* The one memoized selection entry point.  The cache key pairs the DFA
-   value itself (structural equality/hashing — DFAs are pure int/bool
-   records, and symbol ids never change meaning because the alphabet is
-   append-only) with the base's node id; entries are flushed when the
-   store's generation moves.  Cached lists are immutable and shared. *)
+(* The one memoized selection entry point: the frozen scan for a
+   store-resident base, the pointer walk for a constructed one.  The
+   cache key pairs the DFA value itself (structural equality/hashing —
+   DFAs are pure int/bool records, and symbol ids never change meaning
+   because the alphabet is append-only) with the base's node id;
+   entries are flushed when the store's generation moves.  Cached lists
+   are immutable and shared. *)
 let select_dfa_live (ctx : ctx) (dfa : Xl_automata.Dfa.t) (live : bool array)
     (base : Node.t) : Node.t list =
-  if not ctx.use_extent_cache then raw_select ctx dfa live base
-  else begin
-    check_extent_gen ctx;
-    let key = (dfa, base.Node.id) in
-    match Hashtbl.find_opt ctx.extent_cache key with
-    | Some r ->
-      Xl_obs.Obs.Counter.incr c_extent_hit;
-      r
-    | None ->
-      Xl_obs.Obs.Counter.incr c_extent_miss;
-      let r = raw_select ctx dfa live base in
-      Hashtbl.replace ctx.extent_cache key r;
-      r
-  end
+  check_extent_gen ctx;
+  let key = (dfa, base.Node.id) in
+  match Hashtbl.find_opt ctx.extent_cache key with
+  | Some r ->
+    Xl_obs.Obs.Counter.incr c_extent_hit;
+    r
+  | None ->
+    Xl_obs.Obs.Counter.incr c_extent_miss;
+    let r =
+      match Store.frozen_of_node ctx.store base with
+      | Some (fz, pos) -> frozen_select ctx fz ~base_pos:pos dfa live
+      | None -> tree_select ctx dfa live base
+    in
+    Hashtbl.replace ctx.extent_cache key r;
+    r
 
 (** Nodes under [base] whose relative tag path the DFA accepts, document
     order — extent selection for externally compiled DFAs. *)
@@ -361,153 +328,8 @@ let select_dfa (ctx : ctx) (dfa : Xl_automata.Dfa.t) (base : Node.t) :
 (** Nodes reachable from [from] by the regular path [p] — [from]'s own
     symbol is not consumed.  Results in document order. *)
 let eval_path (ctx : ctx) (p : Path_expr.t) (from : Node.t) : Node.t list =
-  let use_frozen_here =
-    ctx.use_frozen && Store.frozen_of_node ctx.store from <> None
-  in
-  let indexed =
-    if
-      (not use_frozen_here)
-      && ctx.use_tag_index
-      && from.Node.kind = Node.Document
-      && (match Store.find_node_by_id ctx.store from.Node.id with
-         | Some n -> Node.equal n from
-         | None -> false)
-    then
-      match tag_chain p with
-      | Some (_ :: _ as syms) ->
-        (* the index only covers elements and attributes: a text() target
-           must take the tree walk *)
-        let last = List.nth syms (List.length syms - 1) in
-        if String.equal last "#text" then None else Some (syms, last)
-      | _ -> None
-    else None
-  in
-  match indexed with
-  | Some (syms, last) ->
-    (* document-rooted tag chain: look up candidates by the final symbol
-       and keep those with the exact tag path inside this document *)
-    Xl_obs.Obs.Counter.incr c_tag_index;
-    List.filter
-      (fun n -> Node.tag_path n = syms && Node.equal (Node.root n) from)
-      (Store.nodes_with_tag ctx.store last)
-    |> List.sort_uniq Node.compare_order
-  | None ->
-    let { dfa; live } = compile_path ctx p in
-    select_dfa_live ctx dfa live from
-
-(* ---------- element construction ---------------------------------------- *)
-
-(* Constructed content: adjacent atoms joined by a space, nodes copied.
-   Construction builds the node tree directly — same ids, Dewey numbering
-   and text splitting as the old Frag round-trip through [Doc.of_frag],
-   without serializing copied subtrees or allocating a document and its
-   id table (constructed trees are never registered in the store). *)
-
-type kid =
-  | K_text of string
-  | K_copy of Node.t  (** element to deep-copy *)
-
-let rec item_kids (it : Value.item) : kid list =
-  match it with
-  | Value.Atom a -> [ K_text (Value.atom_to_string a) ]
-  | Value.Node n -> (
-    match n.Node.kind with
-    | Node.Text | Node.Attribute -> [ K_text n.Node.value ]
-    | Node.Element -> [ K_copy n ]
-    | Node.Document -> List.concat_map item_kids (Value.of_nodes n.Node.children))
-
-let content_kids (v : Value.t) : kid list =
-  (* merge adjacent atoms with a single space, XQuery-style *)
-  let rec go = function
-    | [] -> []
-    | Value.Atom a :: (Value.Atom _ :: _ as rest) ->
-      K_text (Value.atom_to_string a ^ " ") :: go rest
-    | it :: rest -> item_kids it @ go rest
-  in
-  go v
-
-let fresh_node kind name value dewey =
-  {
-    Node.id = Doc.fresh_id ();
-    kind;
-    name;
-    value;
-    parent = None;
-    children = [];
-    attributes = [];
-    dewey;
-  }
-
-(* Deep copy with fresh ids, renumbering Dewey codes under [dewey] with
-   the shared attribute/child counter [Doc.of_frag] uses. *)
-let rec copy_element dewey (src : Node.t) : Node.t =
-  let n = fresh_node Node.Element src.Node.name "" dewey in
-  let k = ref 0 in
-  let attrs =
-    List.map
-      (fun (a : Node.t) ->
-        incr k;
-        let c =
-          fresh_node Node.Attribute a.Node.name a.Node.value (Dewey.child dewey !k)
-        in
-        c.Node.parent <- Some n;
-        c)
-      src.Node.attributes
-  in
-  let kids =
-    List.map
-      (fun (c : Node.t) ->
-        incr k;
-        let d = Dewey.child dewey !k in
-        let cc =
-          if Node.is_text c then fresh_node Node.Text "" c.Node.value d
-          else copy_element d c
-        in
-        cc.Node.parent <- Some n;
-        cc)
-      src.Node.children
-  in
-  n.Node.attributes <- attrs;
-  n.Node.children <- kids;
-  n
-
-let construct_element (ctx : ctx) tag (attrs : (string * string) list)
-    (kids : kid list) : Node.t =
-  (* intern constructed symbols now, not lazily during a later path walk
-     (interning mid-walk invalidates every compiled DFA) *)
-  ignore (Xl_automata.Alphabet.intern ctx.alphabet tag);
-  List.iter
-    (fun (name, _) -> ignore (Xl_automata.Alphabet.intern ctx.alphabet ("@" ^ name)))
-    attrs;
-  let dewey = Dewey.root in
-  let n = fresh_node Node.Element tag "" dewey in
-  let k = ref 0 in
-  let attr_nodes =
-    List.map
-      (fun (name, value) ->
-        incr k;
-        let a = fresh_node Node.Attribute name value (Dewey.child dewey !k) in
-        a.Node.parent <- Some n;
-        a)
-      attrs
-  in
-  let kid_nodes =
-    List.map
-      (fun kid ->
-        incr k;
-        let d = Dewey.child dewey !k in
-        let c =
-          match kid with
-          | K_text s -> fresh_node Node.Text "" s d
-          | K_copy src -> copy_element d src
-        in
-        c.Node.parent <- Some n;
-        c)
-      kids
-  in
-  n.Node.attributes <- attr_nodes;
-  n.Node.children <- kid_nodes;
-  n
+  let { dfa; live } = compile_path ctx p in
+  select_dfa_live ctx dfa live from
 
 (* ---------- hash-join planning ------------------------------------------ *)
 
@@ -561,7 +383,7 @@ let plan_hash_join ~(for_ : Ast.binding list) ~(let_vars : string list)
     let for_vars = List.map fst for_ in
     let all_vars = for_vars @ let_vars in
     if List.length (List.sort_uniq String.compare all_vars) <> List.length all_vars
-    then None (* shadowing inside one binder: stay on the naive path *)
+    then None (* shadowing inside one binder: stay on the nested loop *)
     else
       let bindings = Array.of_list for_ in
       let n = Array.length bindings in
@@ -648,7 +470,7 @@ let binder_plan (ctx : ctx) (binder : Ast.expr) : join_plan option =
     Hashtbl.replace ctx.plan_cache binder p;
     p
 
-exception Type_error of string
+exception Type_error = Operators.Type_error
 
 let rec eval (ctx : ctx) (env : Env.t) (e : Ast.expr) : Value.t =
   match e with
@@ -679,18 +501,23 @@ let rec eval (ctx : ctx) (env : Env.t) (e : Ast.expr) : Value.t =
           match c with
           | Ast.Attr_c (name, e) ->
             (attrs @ [ (name, Value.string_value (eval ctx env e)) ], kids)
-          | _ -> (attrs, kids @ content_kids (eval ctx env c)))
+          | _ -> (attrs, kids @ Operators.content_kids (eval ctx env c)))
         ([], []) contents
     in
-    ctx.constructed <- ctx.constructed + 1;
-    [ Value.Node (construct_element ctx tag attrs kids) ]
+    (* intern constructed symbols now, not lazily during a later path
+       walk (interning mid-walk invalidates every compiled DFA) *)
+    ignore (Xl_automata.Alphabet.intern ctx.alphabet tag);
+    List.iter
+      (fun (name, _) -> ignore (Xl_automata.Alphabet.intern ctx.alphabet ("@" ^ name)))
+      attrs;
+    [ Value.Node (Operators.element tag attrs kids) ]
   | Ast.Attr_c (_, e) ->
     (* attribute outside an element constructor: atomize *)
     [ Value.Atom (Value.Str (Value.string_value (eval ctx env e))) ]
   | Ast.Text_c e -> [ Value.Atom (Value.Str (Value.string_value (eval ctx env e))) ]
   | Ast.Cmp (op, a, b) ->
-    Value.of_bool (general_compare op (eval ctx env a) (eval ctx env b))
-  | Ast.Arith (op, a, b) -> eval_arith op (eval ctx env a) (eval ctx env b)
+    Value.of_bool (Operators.general_compare op (eval ctx env a) (eval ctx env b))
+  | Ast.Arith (op, a, b) -> Operators.arith op (eval ctx env a) (eval ctx env b)
   | Ast.And (a, b) ->
     Value.of_bool (Value.to_bool (eval ctx env a) && Value.to_bool (eval ctx env b))
   | Ast.Or (a, b) ->
@@ -769,7 +596,7 @@ and bind_tuples ctx env (plan : join_plan option) (bs : Ast.binding list) :
   fst (List.fold_left expand (Seq.return env, 0) bs)
 
 and eval_flwor ctx env (f : Ast.flwor) : Value.t =
-  let plan = if ctx.use_hash_join then binder_plan ctx (Ast.Flwor f) else None in
+  let plan = binder_plan ctx (Ast.Flwor f) in
   (match plan with
   | Some _ -> Xl_obs.Obs.Counter.incr c_flwor_hash
   | None -> if f.Ast.where <> None then Xl_obs.Obs.Counter.incr c_flwor_nested);
@@ -797,24 +624,10 @@ and eval_flwor ctx env (f : Ast.flwor) : Value.t =
           (List.map (fun k -> (Value.atomize (eval ctx env k.Ast.key), k.Ast.descending)) keys, env))
         (List.of_seq tuples)
     in
-    let cmp_keys (ka, _) (kb, _) =
-      let rec go a b =
-        match a, b with
-        | [], [] -> 0
-        | (xa, desc) :: ra, (xb, _) :: rb ->
-          let c =
-            match xa, xb with
-            | [], [] -> 0
-            | [], _ -> -1
-            | _, [] -> 1
-            | a0 :: _, b0 :: _ -> Value.atom_compare a0 b0
-          in
-          if c <> 0 then if desc then -c else c else go ra rb
-        | _ -> 0
-      in
-      go ka kb
+    let sorted =
+      List.map snd
+        (List.stable_sort (fun (ka, _) (kb, _) -> Operators.compare_keys ka kb) decorated)
     in
-    let sorted = List.map snd (List.stable_sort cmp_keys decorated) in
     List.concat_map (fun env -> eval ctx env f.Ast.return) sorted
 
 and eval_quant ctx env bs body ~exists : bool =
@@ -822,10 +635,7 @@ and eval_quant ctx env bs body ~exists : bool =
      first counterexample.  An eligible [some] runs as a semi-join: only
      the build items whose key meets the probe become tuples, and the
      residual conjuncts decide among them in source order. *)
-  let plan =
-    if exists && ctx.use_hash_join then binder_plan ctx (Ast.Some_ (bs, body))
-    else None
-  in
+  let plan = if exists then binder_plan ctx (Ast.Some_ (bs, body)) else None in
   let test =
     match plan with
     | Some p ->
@@ -838,51 +648,6 @@ and eval_quant ctx env bs body ~exists : bool =
   in
   let tuples = bind_tuples ctx env plan bs in
   if exists then Seq.exists holds tuples else Seq.for_all holds tuples
-
-and general_compare op (va : Value.t) (vb : Value.t) : bool =
-  match op with
-  | Ast.Is ->
-    (* node identity, existentially over the two sequences *)
-    List.exists
-      (function
-        | Value.Node n ->
-          List.exists
-            (function Value.Node m -> Xl_xml.Node.equal n m | Value.Atom _ -> false)
-            vb
-        | Value.Atom _ -> false)
-      va
-  | _ ->
-  let atoms_a = Value.atomize va and atoms_b = Value.atomize vb in
-  let holds a b =
-    let c = Value.atom_compare a b in
-    match op with
-    | Ast.Eq -> Value.atom_equal a b
-    | Ast.Ne -> not (Value.atom_equal a b)
-    | Ast.Lt -> c < 0
-    | Ast.Le -> c <= 0
-    | Ast.Gt -> c > 0
-    | Ast.Ge -> c >= 0
-    | Ast.Is -> assert false
-  in
-  List.exists (fun a -> List.exists (fun b -> holds a b) atoms_b) atoms_a
-
-and eval_arith op va vb : Value.t =
-  let num v =
-    match List.filter_map Value.numeric_of_atom (Value.atomize v) with
-    | [ n ] -> n
-    | [] -> raise (Type_error "arithmetic on empty sequence")
-    | _ -> raise (Type_error "arithmetic on a sequence")
-  in
-  let a = num va and b = num vb in
-  let r =
-    match op with
-    | Ast.Add -> a +. b
-    | Ast.Sub -> a -. b
-    | Ast.Mul -> a *. b
-    | Ast.Div -> a /. b
-    | Ast.Mod -> Float.rem a b
-  in
-  Value.of_float r
 
 (** Evaluate a closed query against a store. *)
 let run ?(env = Env.empty) (ctx : ctx) (e : Ast.expr) : Value.t = eval ctx env e

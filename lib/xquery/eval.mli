@@ -6,16 +6,17 @@
     by regular path expression" cheap enough to recompute extents
     repeatedly during learning.
 
-    Three fast paths (on by default; see {!make_ctx}'s [?fast_paths] and
-    the per-context switches) serve the hot shapes of the Figure-16
-    suites: document-rooted child-tag chains answer from the store's
-    nodes-by-tag index; eligible equality [where] clauses run as cached
-    hash joins instead of nested loops; and a [some] quantifier whose
-    [satisfies] clause holds such an equality runs as a hash semi-join —
-    each outer tuple probes the cached build-side index and the rest of
-    the clause runs only on the matching candidates, stopping at the
-    first witness.  FLWOR and quantifier tuple streams are lazy and
-    share one expansion. *)
+    One engine, no switches: the input picks each route.  A selection
+    from a store-resident node scans the store's frozen arrays
+    ({!Xl_xml.Frozen}); from a constructed node it walks the pointer
+    tree; both are memoized per (DFA, base node) until the store
+    changes.  Eligible equality [where] clauses run as cached hash joins,
+    and a [some] quantifier whose [satisfies] clause holds such an
+    equality runs as a hash semi-join — each outer tuple probes the
+    cached build-side index and the rest of the clause runs only on the
+    matching candidates, stopping at the first witness.  Every other
+    FLWOR and quantifier runs as a nested loop.  Tuple streams are lazy
+    and shared by FLWOR and the quantifiers. *)
 
 type compiled_path = {
   dfa : Xl_automata.Dfa.t;
@@ -47,19 +48,6 @@ type ctx = {
   store : Xl_xml.Store.t;
   alphabet : Xl_automata.Alphabet.t;
   cache : (Path_expr.t, compiled_path) Hashtbl.t;
-  mutable constructed : int;  (** constructed-element counter *)
-  mutable use_hash_join : bool;
-      (** execute eligible equality [where] clauses as hash joins and
-          eligible [some] quantifiers as hash semi-joins *)
-  mutable use_tag_index : bool;
-      (** answer doc-rooted tag chains from the nodes-by-tag index *)
-  mutable use_frozen : bool;
-      (** answer DFA selections by a linear scan over the store's frozen
-          array snapshots ({!Xl_xml.Frozen}) instead of the
-          pointer-walking reference path *)
-  mutable use_extent_cache : bool;
-      (** memoize DFA selections per (DFA, base node id) across calls —
-          the cross-round extent cache of the learning loop *)
   join_cache : (Ast.expr * Ast.expr, join_index) Hashtbl.t;
   plan_cache : (Ast.expr, join_plan option) Hashtbl.t;
       (** [Flwor] or [Some_] expression -> its join plan *)
@@ -67,7 +55,8 @@ type ctx = {
       (** {!Xl_xml.Frozen.t} uid -> (local symbol id -> alphabet id or
           -1, alphabet size at build); rebuilt when the alphabet grows *)
   extent_cache : (Xl_automata.Dfa.t * int, Xl_xml.Node.t list) Hashtbl.t;
-      (** (DFA, base node id) -> selection, flushed on store change *)
+      (** (DFA, base node id) -> selection, flushed on store change — the
+          cross-round extent cache of the learning loop *)
   mutable extent_cache_gen : int;  (** {!Xl_xml.Store.generation} stamp *)
   live_cache : (Xl_automata.Dfa.t, bool array) Hashtbl.t;
       (** liveness of externally compiled DFAs (the oracle's) *)
@@ -76,21 +65,14 @@ type ctx = {
           implementation's invariant note); grown on demand *)
 }
 
-val liveness : Xl_automata.Dfa.t -> bool array
-(** Per-state "can still accept" flags, for pruning tree walks.
-    Alias of {!Xl_automata.Dfa.liveness}. *)
-
-val make_ctx : ?fast_paths:bool -> Xl_xml.Store.t -> ctx
+val make_ctx : Xl_xml.Store.t -> ctx
 (** Interns every symbol of every document in the store, read from the
     store's frozen snapshots ({!Xl_xml.Store.frozen_docs}, which builds
     the store's indexes if they are not yet built) in the order a
-    preorder walk of the documents would meet them.  [fast_paths]
-    (default [true]) sets both per-context switches; the parity tests
-    pass [false] to compare optimized and naive evaluation end to end.
-    There is deliberately no global default: contexts with different
-    settings can now coexist, including on concurrent domains. *)
+    preorder walk of the documents would meet them.  A context is
+    confined to one domain; concurrent domains each make their own. *)
 
-val ctx_of_doc : ?fast_paths:bool -> Xl_xml.Doc.t -> ctx
+val ctx_of_doc : Xl_xml.Doc.t -> ctx
 
 val intern_path_symbols : Xl_automata.Alphabet.t -> Path_expr.t -> unit
 (** Intern a path's literal tags so wildcard expansion and compilation
@@ -101,11 +83,11 @@ val compile_path : ctx -> Path_expr.t -> compiled_path
 val select_dfa :
   ctx -> Xl_automata.Dfa.t -> Xl_xml.Node.t -> Xl_xml.Node.t list
 (** Nodes under the base whose relative tag path the DFA accepts (the
-    base itself when the DFA accepts ε), document order.  Dispatches to
-    the frozen single-pass scan when the base is store-resident and
-    [use_frozen] is set, and memoizes per (DFA, base id) when
-    [use_extent_cache] is set; otherwise runs the pointer-walking
-    reference selection.  Never interns. *)
+    base itself when the DFA accepts ε — a relative learning task whose
+    extent holds its own anchor learns such a DFA), document order: the
+    extent selection of the learner.  Runs the frozen
+    single-pass scan when the base is store-resident and the pointer walk
+    otherwise, memoized per (DFA, base id).  Never interns. *)
 
 val eval_path : ctx -> Path_expr.t -> Xl_xml.Node.t -> Xl_xml.Node.t list
 (** Nodes reachable from the base by the regular path (the base's own

@@ -221,7 +221,7 @@ let test_extent_select_by_dfa () =
       (Path_expr.to_regex alphabet (path "/site/regions/(europe|africa)/item"))
   in
   let doc = Xl_xml.Store.default store in
-  let selected = Extent.select_by_dfa ctx dfa doc.Xl_xml.Doc.doc_node in
+  let selected = Eval.select_dfa ctx dfa doc.Xl_xml.Doc.doc_node in
   check cint "three items in europe+africa" 3 (List.length selected);
   (* relative paths *)
   let item = List.hd selected in

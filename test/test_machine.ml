@@ -308,6 +308,31 @@ let test_corrupt_byte_flips () =
       | exception M.Corrupt _ -> ())
     [ 0; 4; String.length snap / 2; String.length snap - 1 ]
 
+(* The two config bytes after r1/r2 (offsets 14 and 15: magic, version,
+   r1, r2) held the retired fast-path and batch switches.  They are
+   written as 1; a well-formed snapshot (digest recomputed) with either
+   set to 0 was recorded under a configuration the learner no longer
+   has, and must be rejected as such. *)
+let test_retired_config_bytes () =
+  let scenario = fig16_scenario "xmp-Q1" in
+  let snap = M.snapshot (M.start scenario) in
+  List.iter
+    (fun i -> Alcotest.(check char) (Printf.sprintf "byte %d is 1" i) '\001' snap.[i])
+    [ 14; 15 ];
+  List.iter
+    (fun i ->
+      let body = Bytes.of_string (String.sub snap 0 (String.length snap - 16)) in
+      Bytes.set body i '\000';
+      let body = Bytes.to_string body in
+      match M.restore ~scenario (body ^ Digest.string body) with
+      | _ -> Alcotest.failf "retired byte %d = 0 accepted" i
+      | exception M.Corrupt msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "byte %d: %S names the retired option" i msg)
+          true
+          (String.starts_with ~prefix:"retired option" msg))
+    [ 14; 15 ]
+
 (* ---------- resuming mid-repair ----------------------------------------- *)
 
 (* The spare-join fixture: greedy minimization discards a join the drop
@@ -418,6 +443,8 @@ let () =
             test_concurrent_snapshot_mid_eq;
           Alcotest.test_case "single-byte flips and truncations raise Corrupt"
             `Quick test_corrupt_byte_flips;
+          Alcotest.test_case "retired config bytes must be 1" `Quick
+            test_retired_config_bytes;
           Alcotest.test_case "resuming mid-repair finishes the same sweep"
             `Quick test_resume_mid_repair;
         ] );

@@ -1,7 +1,9 @@
-(* Parity tests for the evaluator fast paths: the indexed / hash-join
-   evaluation must be observationally equivalent to the naive nested-loop
-   walk — same node sequences (ids and order) on every benchmark query,
-   and identical learner interaction counts across the Figure-16 suites.
+(* Parity tests for the evaluator: the engine (frozen scan, extent
+   cache, hash joins and semi-joins) must be observationally equivalent
+   to the reference evaluator {!Xl_fuzz.Reference} (nested loops,
+   structural path recursion over the pointer tree) — same node
+   sequences (ids and order) on every benchmark query — and the learner
+   must reproduce the committed Figure-16 interaction rows.
 
    The sweeps fan out on a {!Xl_exec.Pool}: each work item (a query, or a
    whole scenario run) is checked inside a worker domain and reduced to a
@@ -14,7 +16,7 @@ module Xml = Xl_xml
 
 let pool = Xl_exec.Pool.create ()
 
-(* A result fingerprint that is stable across evaluation strategies:
+(* A result fingerprint that is stable across evaluators:
    store-resident nodes print as their id (identity + order check),
    constructed nodes — whose ids are fresh per evaluation — print as
    their serialized form. *)
@@ -30,10 +32,11 @@ let fingerprint (store : Xml.Store.t) (v : Value.t) : string =
          | Value.Atom a -> "A:" ^ Value.atom_to_string a)
        v)
 
-(* Evaluate every query under both strategies — concurrently, one worker
-   per query, each with its own pair of contexts (evaluation contexts
-   carry mutable caches and must stay domain-confined) — then compare
-   fingerprints (or exception messages, when both raise). *)
+(* Evaluate every query on the engine and on the reference —
+   concurrently, one worker per query, each with its own context
+   (evaluation contexts carry mutable caches and must stay
+   domain-confined) — then compare fingerprints (or exception messages,
+   when both raise). *)
 let check_query_parity ~suite (store : Xml.Store.t)
     (queries : (string * string) list) =
   Xml.Store.prepare store;
@@ -42,25 +45,26 @@ let check_query_parity ~suite (store : Xml.Store.t)
       (fun (qid, text) ->
         let label = Printf.sprintf "%s/%s" suite qid in
         let ast = Parser.parse text in
-        let run ~fast_paths =
-          let ctx = Eval.make_ctx ~fast_paths store in
-          match Eval.run ctx ast with
+        let run eval =
+          match eval ast with
           | v -> Ok (fingerprint store v)
           | exception e -> Error (Printexc.to_string e)
         in
-        (label, run ~fast_paths:true, run ~fast_paths:false))
+        ( label,
+          run (Eval.run (Eval.make_ctx store)),
+          run (Xl_fuzz.Reference.run store) ))
       queries
   in
   List.iter
-    (fun (label, fast, naive) ->
-      match (fast, naive) with
+    (fun (label, engine, reference) ->
+      match (engine, reference) with
       | Ok a, Ok b -> Alcotest.(check string) label b a
       | Error a, Error b -> Alcotest.(check string) (label ^ " (raises)") b a
       | Ok _, Error e ->
-        Alcotest.failf "%s: naive evaluation raised %s but fast path succeeded"
+        Alcotest.failf "%s: the reference raised %s but the engine succeeded"
           label e
       | Error e, Ok _ ->
-        Alcotest.failf "%s: fast path raised %s but naive evaluation succeeded"
+        Alcotest.failf "%s: the engine raised %s but the reference succeeded"
           label e)
     outcomes
 
@@ -87,9 +91,9 @@ let test_xmp_parity () =
        Xl_workload.Xmp_queries.all)
 
 (* The randomized fuzz corpus sweeps far more DTD/document/query shapes
-   through the hash-join fast paths than the paper suites do; a fixed
-   25-seed slice keeps the sweep deterministic.  Each worker generates
-   its case, evaluates the target query under both strategies on its
+   through the hash joins than the paper suites do; a fixed 25-seed
+   slice keeps the sweep deterministic.  Each worker generates its case,
+   evaluates the target query on the engine and on the reference on its
    own store and reduces to a serialized form (node-identity free, so
    the comparison is meaningful across separately built stores). *)
 let test_fuzz_corpus_parity () =
@@ -98,67 +102,79 @@ let test_fuzz_corpus_parity () =
       (fun index ->
         let case = Xl_fuzz.Case.generate ~seed:20040301 ~index in
         let store = Xl_fuzz.Case.store_of ~prepare:true case in
-        let run ~fast_paths =
-          Xl_fuzz.Props.eval_to_string ~fast_paths case.Xl_fuzz.Case.target
-            store
-        in
-        (index, run ~fast_paths:true, run ~fast_paths:false))
+        let target = case.Xl_fuzz.Case.target in
+        ( index,
+          Xl_fuzz.Props.eval_to_string target store,
+          Xl_fuzz.Props.reference_to_string target store ))
       (List.init 25 Fun.id)
   in
   List.iter
-    (fun (index, fast, naive) ->
+    (fun (index, engine, reference) ->
       Alcotest.(check string)
-        (Printf.sprintf "fuzz case %d hash-join vs naive" index)
-        naive fast)
+        (Printf.sprintf "fuzz case %d engine vs reference" index)
+        reference engine)
     outcomes
 
-(* Three-way corpus sweep isolating the frozen selection engine: the
-   default configuration (frozen scan + extent cache), the same fast
-   paths with the frozen engine and extent cache switched off (tag
-   index + pointer walk), and the fully naive evaluator must agree on
-   every case. *)
-let eval_config (case : Xl_fuzz.Case.t) (store : Xml.Store.t) ~fast_paths
-    ~frozen =
-  let ctx = Eval.make_ctx ~fast_paths store in
-  if not frozen then begin
-    ctx.Eval.use_frozen <- false;
-    ctx.Eval.use_extent_cache <- false
-  end;
-  let v = Eval.run ctx (Xl_xqtree.Xqtree.to_ast case.Xl_fuzz.Case.target) in
-  String.concat "\n"
-    (List.map
-       (function
-         | Value.Node n -> Xml.Serialize.node_to_string n
-         | Value.Atom a -> Value.atom_to_string a)
-       v)
-
+(* Three-way corpus sweep over the engine's two selection routes, which
+   the input picks: from the store's document node a path runs the
+   frozen scan; from a constructed copy of the document it runs the
+   pointer walk.  Every child-step tag path of the case's document, and
+   its [//last] form, must select the same serialized nodes on both
+   routes and in the reference. *)
 let test_fuzz_corpus_engines () =
+  let show nodes = String.concat "\n" (List.map Xml.Serialize.node_to_string nodes) in
   let outcomes =
     Xl_exec.Pool.map pool
       (fun index ->
         let case = Xl_fuzz.Case.generate ~seed:20040301 ~index in
         let store = Xl_fuzz.Case.store_of ~prepare:true case in
+        let ctx = Eval.make_ctx store in
+        let doc = (Xml.Store.default store).Xml.Doc.doc_node in
+        let copy =
+          match Eval.run ctx (Ast.Elem ("copy", [ Ast.Doc_root None ])) with
+          | [ Value.Node n ] -> n
+          | _ -> Alcotest.fail "constructor did not return one node"
+        in
+        let paths =
+          List.sort_uniq compare
+            (List.concat_map
+               (fun n ->
+                 let p = Xl_core.Data_graph.generalized_path n in
+                 let rec last = function Path_expr.Seq (_, b) -> last b | p -> p in
+                 match last p with
+                 | Path_expr.Step (_, test) -> [ p; Path_expr.desc test ]
+                 | _ -> [ p ])
+               (Xml.Store.nodes store))
+        in
         ( index,
-          eval_config case store ~fast_paths:true ~frozen:true,
-          eval_config case store ~fast_paths:true ~frozen:false,
-          eval_config case store ~fast_paths:false ~frozen:false ))
+          List.map
+            (fun p ->
+              ( Path_expr.to_string p,
+                show (Eval.eval_path ctx p doc),
+                show (Eval.eval_path ctx p copy),
+                show (Xl_fuzz.Reference.select p doc) ))
+            paths ))
       (List.init 25 Fun.id)
   in
   List.iter
-    (fun (index, frozen, unfrozen, naive) ->
-      Alcotest.(check string)
-        (Printf.sprintf "fuzz case %d frozen vs tag-index" index)
-        unfrozen frozen;
-      Alcotest.(check string)
-        (Printf.sprintf "fuzz case %d frozen vs naive" index)
-        naive frozen)
+    (fun (index, rows) ->
+      List.iter
+        (fun (p, frozen, walk, reference) ->
+          Alcotest.(check string)
+            (Printf.sprintf "fuzz case %d %s: frozen vs reference" index p)
+            reference frozen;
+          Alcotest.(check string)
+            (Printf.sprintf "fuzz case %d %s: pointer walk vs reference" index p)
+            reference walk)
+        rows)
     outcomes
 
 (* Direct selection parity on the Figure-16 stores: for a sample of
    concrete nodes, select by the node's generalized tag-path expression
    from the document root — and by the relative remainder from an
-   ancestor base — under the frozen scan, the memoized frozen scan, and
-   the pointer walk, comparing node-id sequences (identity and order). *)
+   ancestor base — with the engine (a frozen scan, then the same
+   selection answered from the extent cache) and with the reference,
+   comparing node-id sequences (identity and order). *)
 let test_select_engine_parity () =
   let stores =
     [
@@ -182,15 +198,10 @@ let test_select_engine_parity () =
   let outcomes =
     Xl_exec.Pool.map pool
       (fun (suite, store, sample) ->
-        let ctx_frozen = Eval.make_ctx ~fast_paths:true store in
-        ctx_frozen.Eval.use_extent_cache <- false;
-        let ctx_cached = Eval.make_ctx ~fast_paths:true store in
-        let ctx_walk = Eval.make_ctx ~fast_paths:false store in
-        let ids ctx p base =
+        let ctx = Eval.make_ctx store in
+        let ids nodes =
           String.concat ","
-            (List.map
-               (fun (n : Xml.Node.t) -> string_of_int n.Xml.Node.id)
-               (Eval.eval_path ctx p base))
+            (List.map (fun (n : Xml.Node.t) -> string_of_int n.Xml.Node.id) nodes)
         in
         let mismatches = ref [] in
         List.iter
@@ -238,13 +249,13 @@ let test_select_engine_parity () =
             in
             List.iter
               (fun (p, base) ->
-                let f = ids ctx_frozen p base in
-                let c = ids ctx_cached p base in
-                let w = ids ctx_walk p base in
-                if not (String.equal f w && String.equal c w) then
+                let f = ids (Eval.eval_path ctx p base) in
+                let c = ids (Eval.eval_path ctx p base) in
+                let r = ids (Xl_fuzz.Reference.select p base) in
+                if not (String.equal f r && String.equal c r) then
                   mismatches :=
-                    Printf.sprintf "%s node %d: frozen=%s cached=%s walk=%s"
-                      suite n.Xml.Node.id f c w
+                    Printf.sprintf "%s node %d: frozen=%s cached=%s reference=%s"
+                      suite n.Xml.Node.id f c r
                     :: !mismatches)
               checks)
           sample;
@@ -254,7 +265,7 @@ let test_select_engine_parity () =
   List.iter
     (fun (suite, sampled, mismatches) ->
       Alcotest.(check (list string))
-        (Printf.sprintf "%s: %d sampled bases agree across engines" suite
+        (Printf.sprintf "%s: %d sampled bases agree with the reference" suite
            sampled)
         [] mismatches)
     outcomes
@@ -322,9 +333,8 @@ let test_streaming_fig16_parity () =
         (Xml.Frozen.structural_equal tree_fz stream_fz))
     (Xml.Store.docs (Xl_workload.Xmp_data.store ()))
 
-(* The learner drives the evaluator on every membership/equivalence
-   query; identical interaction counts under both strategies show the
-   fast paths never change what the teacher observes. *)
+(* One learner run reduced to its interaction counts — what the teacher
+   observes. *)
 let stats_row (name : string) (r : Xl_core.Learn.result) : string =
   let s = r.Xl_core.Learn.stats in
   Printf.sprintf "%s dd=%d(%d) mq=%d eq=%d ce=%d cb=%d(%d) ob=%d r=(%d,%d,%d) auto=%d restarts=%d verified=%b"
@@ -346,26 +356,6 @@ let fig16_scenarios () =
     (fun (_, _, sc) -> Xml.Store.prepare sc.Xl_core.Scenario.store)
     scenarios;
   scenarios
-
-let run_learner_suite ~fast_paths scenarios : string list =
-  let config = { Xl_core.Learn.default_config with fast_paths } in
-  Xl_exec.Pool.map pool
-    (fun (suite, name, sc) ->
-      let label = suite ^ "-" ^ name in
-      match Xl_core.Learn.run ~config sc with
-      | r -> stats_row label r
-      | exception e -> label ^ " FAILED " ^ Printexc.to_string e)
-    scenarios
-
-let test_learner_parity () =
-  let scenarios = fig16_scenarios () in
-  let fast = run_learner_suite ~fast_paths:true scenarios in
-  let naive = run_learner_suite ~fast_paths:false scenarios in
-  Alcotest.(check int) "same number of scenarios" (List.length naive)
-    (List.length fast);
-  List.iter2
-    (fun f n -> Alcotest.(check string) "interaction counts" n f)
-    fast naive
 
 (* A streamed XMark store (documents ingested through the builder and
    registered with their pre-built snapshots) must be indistinguishable
@@ -391,22 +381,19 @@ let test_streamed_store_learner_parity () =
     (fun t s -> Alcotest.(check string) "interaction counts" t s)
     tree streamed
 
-(* Batched-oracle invariance (DESIGN.md §5h): the batched membership
-   oracle and the intra-scenario pool change who computes answers, never
-   the answers — every Figure-16 stats row must be byte-identical with
-   batching on and off, and with the fan-outs on one domain and on four.
+(* Pool invariance (DESIGN.md §5h): the intra-scenario pool changes who
+   computes answers, never the answers — every Figure-16 stats row must
+   be byte-identical with the fan-outs on one domain and on four.
    Scenarios run on the main domain here so the config's pool is the
    only pool in play. *)
 let sweep_configs () =
   let pool4 = Xl_exec.Pool.create ~domains:4 () in
   [
-    ("batch=off pool=seq", { Xl_core.Learn.default_config with batch = false });
-    ("batch=on  pool=seq", { Xl_core.Learn.default_config with batch = true });
-    ( "batch=on  pool=4",
-      { Xl_core.Learn.default_config with batch = true; pool = Some pool4 } );
+    ("pool=seq", Xl_core.Learn.default_config);
+    ("pool=4", { Xl_core.Learn.default_config with pool = Some pool4 });
   ]
 
-let test_learner_batch_parity () =
+let test_learner_pool_parity () =
   let scenarios = fig16_scenarios () in
   let rows_under config =
     List.map
@@ -433,9 +420,9 @@ let test_learner_batch_parity () =
 
 (* The same invariance over the randomized corpus: 25 deterministic fuzz
    cases sweep many more DTD/alphabet/counterexample shapes through the
-   batch resolver (compiled-DFA R1, deferred genuine questions, Any_last
-   fallback) than the two paper suites do. *)
-let test_fuzz_batch_parity () =
+   pooled batch resolver (compiled-DFA R1, deferred genuine questions,
+   Any_last fallback) than the two paper suites do. *)
+let test_fuzz_pool_parity () =
   let configs = sweep_configs () in
   List.iter
     (fun index ->
@@ -460,11 +447,9 @@ let test_fuzz_batch_parity () =
     (List.init 25 Fun.id)
 
 (* The committed perf baseline (BENCH_perf.json, a declared test dep)
-   pins the Figure-16 interaction counts: re-learning a scenario must
-   reproduce its stats row byte for byte, whatever the engine does
-   under the hood.  Checked on the extremes — cheap XMP Q1, cheap XMark
-   Q1, and XMark Q7, whose tens of thousands of auto-answered queries
-   exercise both the extent cache and the R1 step memo. *)
+   pins the Figure-16 interaction counts — the paper's results: re-
+   learning each of the 30 scenarios must reproduce its stats row byte
+   for byte, whatever the engine does under the hood. *)
 let baseline_stats ~suite ~name : string =
   let text =
     (* dune runtest runs in test/, dune exec in the project root *)
@@ -500,27 +485,25 @@ let baseline_stats ~suite ~name : string =
   String.sub text stats_at (close stats_at - stats_at + 1)
 
 let test_pinned_fig16_counts () =
-  let subjects =
-    [
-      ("xmark", "Q1", List.assoc "Q1" (Xl_workload.Xmark_scenarios.all ()));
-      ("xmark", "Q7", List.assoc "Q7" (Xl_workload.Xmark_scenarios.all ()));
-      ("xmp", "Q1", List.assoc "Q1" (Xl_workload.Xmp_scenarios.all ()));
-    ]
+  let scenarios = fig16_scenarios () in
+  Alcotest.(check int) "thirty Figure-16 scenarios" 30 (List.length scenarios);
+  let rows =
+    Xl_exec.Pool.map pool
+      (fun (suite, name, sc) ->
+        (suite, name, Xl_core.Stats.to_json (Xl_core.Learn.run sc).Xl_core.Learn.stats))
+      scenarios
   in
   List.iter
-    (fun (suite, name, sc) ->
-      let expected = baseline_stats ~suite ~name in
-      let r = Xl_core.Learn.run sc in
+    (fun (suite, name, got) ->
       Alcotest.(check string)
         (Printf.sprintf "%s %s stats row matches committed baseline" suite name)
-        expected
-        (Xl_core.Stats.to_json r.Xl_core.Learn.stats))
-    subjects
+        (baseline_stats ~suite ~name) got)
+    rows
 
 (* ---------- quantified joins ---------------------------------------------- *)
 
 (* Relay conditions compile to [some $t in /doc/path satisfies ... = ...],
-   which the fast evaluator runs as a hash semi-join.  Neither the
+   which the engine runs as a hash semi-join.  Neither the
    benchmark query texts nor the generated fuzz targets contain a
    quantifier, so the sweeps above never reach it: these suites do. *)
 
@@ -531,25 +514,22 @@ let planned_some (ctx : Eval.ctx) : bool =
       acc || (match (key, plan) with Ast.Some_ _, Some _ -> true | _ -> false))
     ctx.Eval.plan_cache false
 
-(* Evaluate [ast] on [store] under both strategies; the fingerprint (or
-   the exception message), and whether the fast context planned a
-   semi-join. *)
+(* Evaluate [ast] on [store] with the engine and with the reference; the
+   fingerprints (or exception messages), and whether the engine planned
+   a semi-join. *)
 let run_both store ast =
-  let run ~fast_paths =
-    let ctx = Eval.make_ctx ~fast_paths store in
-    let r =
-      match Eval.run ctx ast with
-      | v -> "ok " ^ fingerprint store v
-      | exception e -> "raises " ^ Printexc.to_string e
-    in
-    (r, planned_some ctx)
+  let run eval =
+    match eval ast with
+    | v -> "ok " ^ fingerprint store v
+    | exception e -> "raises " ^ Printexc.to_string e
   in
-  let fast, planned = run ~fast_paths:true in
-  let naive, _ = run ~fast_paths:false in
-  (fast, naive, planned)
+  let ctx = Eval.make_ctx store in
+  let engine = run (Eval.run ctx) in
+  (engine, run (Xl_fuzz.Reference.run store), planned_some ctx)
 
 (* Every Figure-16 target, and the query learned for it, on its 1x store;
-   the XMark ones also on a 2x streamed store. *)
+   the XMark ones, and the XMark query texts, also on a 2x streamed
+   store. *)
 let test_fig16_quantified_parity () =
   let scenarios = fig16_scenarios () in
   let learned =
@@ -564,6 +544,11 @@ let test_fig16_quantified_parity () =
   in
   let store2 = Xml.Store.of_frozen [ fz2 ] in
   Xml.Store.prepare store2;
+  let xmark_store =
+    match scenarios with
+    | ("xmark", _, (sc : Xl_core.Scenario.t)) :: _ -> sc.Xl_core.Scenario.store
+    | _ -> Alcotest.fail "the Figure-16 scenarios start with the XMark suite"
+  in
   let jobs =
     List.concat_map
       (fun (suite, name, (sc : Xl_core.Scenario.t), learned_ast) ->
@@ -580,16 +565,26 @@ let test_fig16_quantified_parity () =
             ])
           stores)
       learned
+    @ (* the XMark query texts on the same two stores *)
+    List.concat_map
+      (fun (q : Xl_workload.Xmark_queries.query) ->
+        let ast = Parser.parse q.Xl_workload.Xmark_queries.text in
+        List.map
+          (fun (scale, store) ->
+            (Printf.sprintf "xmark %s text %s" q.Xl_workload.Xmark_queries.id scale, store, ast))
+          [ ("1x", xmark_store); ("2x", store2) ])
+      Xl_workload.Xmark_queries.all
   in
   let outcomes =
     Xl_exec.Pool.map pool
       (fun (label, store, ast) ->
-        let fast, naive, planned = run_both store ast in
-        (label, fast, naive, planned))
+        let engine, reference, planned = run_both store ast in
+        (label, engine, reference, planned))
       jobs
   in
   List.iter
-    (fun (label, fast, naive, _) -> Alcotest.(check string) label naive fast)
+    (fun (label, engine, reference, _) ->
+      Alcotest.(check string) label reference engine)
     outcomes;
   (* the relay of XMark Q9 is the shape the semi-join exists for *)
   List.iter
@@ -611,7 +606,7 @@ let quant_doc =
   <b w="x"/>
 </r>|}
 
-(* (label, query, whether the fast path must plan a semi-join) *)
+(* (label, query, whether the engine must plan a semi-join) *)
 let quant_cases =
   let per_b body = "for $b in /r/b return " ^ body in
   [
@@ -680,8 +675,8 @@ let test_quantified_join_cases () =
   in
   List.iter
     (fun (label, text, expect_planned) ->
-      let fast, naive, planned = run_both store (Parser.parse text) in
-      Alcotest.(check string) label naive fast;
+      let engine, reference, planned = run_both store (Parser.parse text) in
+      Alcotest.(check string) label reference engine;
       Alcotest.(check bool) (label ^ ": planned") expect_planned planned)
     quant_cases
 
@@ -735,7 +730,7 @@ let () =
           Alcotest.test_case "xmp use-case store" `Quick test_xmp_parity;
           Alcotest.test_case "randomized fuzz corpus, 25 seeds" `Quick
             test_fuzz_corpus_parity;
-          Alcotest.test_case "fuzz corpus, frozen vs tag-index vs naive" `Quick
+          Alcotest.test_case "fuzz corpus, frozen vs walk vs reference" `Quick
             test_fuzz_corpus_engines;
           Alcotest.test_case "fig16 stores, select-engine parity" `Quick
             test_select_engine_parity;
@@ -758,14 +753,12 @@ let () =
         ] );
       ( "learner",
         [
-          Alcotest.test_case "fig16 suites, fast vs naive" `Slow
-            test_learner_parity;
           Alcotest.test_case "xmark suite, streamed store vs tree store" `Slow
             test_streamed_store_learner_parity;
-          Alcotest.test_case "fig16 suites, batch on/off x pool 1/4" `Slow
-            test_learner_batch_parity;
-          Alcotest.test_case "fuzz corpus, batch on/off x pool 1/4, 25 seeds"
-            `Slow test_fuzz_batch_parity;
+          Alcotest.test_case "fig16 suites, sequential vs pooled" `Slow
+            test_learner_pool_parity;
+          Alcotest.test_case "fuzz corpus, sequential vs pooled" `Slow
+            test_fuzz_pool_parity;
           Alcotest.test_case "interaction counts pinned to BENCH_perf.json"
             `Slow test_pinned_fig16_counts;
         ] );

@@ -451,7 +451,11 @@ let test_snapshot_store_reuse () =
     | [ fz' ] -> fz' == fz
     | _ -> false);
   check cbool "store queries work" true
-    (List.length (Store.nodes_with_tag store "item") = 1)
+    (List.length
+       (List.filter
+          (fun n -> Node.is_element n && String.equal n.Node.name "item")
+          (Store.nodes store))
+    = 1)
 
 (* ---------- Properties ------------------------------------------------------ *)
 
